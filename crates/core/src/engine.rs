@@ -9,6 +9,7 @@ use crate::activity::CycleActivity;
 use crate::cache::DataCache;
 use crate::config::PipelineConfig;
 use crate::recon::ReconDetector;
+use crate::reference::ArchRef;
 use crate::regfile::{MapTable, PhysReg, PhysRegFile};
 use crate::rob::{InstId, Rob, SegCursor};
 use crate::stats::Stats;
@@ -17,9 +18,11 @@ use ci_bpred::{
     ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, Gshare, ReturnAddressStack,
     TfrTable,
 };
-use ci_emu::{run_trace_profiled, DynInst, EmuError, Memory};
+use ci_emu::{DynInst, Memory};
 use ci_isa::{Addr, Inst, InstClass, Pc, Program, Reg};
 use ci_obs::{Event, NoopProbe, NoopProfiler, Probe, Profiler};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A renamed source operand.
 #[derive(Clone, Copy, Debug)]
@@ -139,21 +142,20 @@ pub(crate) struct FetchCtx {
 /// control independence.
 ///
 /// See the crate-level documentation for the model; construct with
-/// [`Pipeline::new`] and drive with [`Pipeline::run`].
+/// [`Pipeline::new`] over an [`ArchRef`] and drive with [`Pipeline::run`].
 ///
 /// The pipeline is generic over an observability [`Probe`] that receives
 /// one [`Event`] per pipeline action. The default [`NoopProbe`] is a
 /// zero-sized sink whose `record` inlines to nothing, so an unprobed
-/// pipeline pays no cost for the instrumentation; plug in a real sink with
-/// [`Pipeline::with_probe`] or [`crate::simulate_probed`].
+/// pipeline pays no cost for the instrumentation; plug in a real sink such
+/// as [`ci_obs::MetricsProbe`] in its place.
 ///
 /// It is separately generic over a [`Profiler`] that attributes *host* wall
 /// time to pipeline stages (fetch, issue, complete, retire, recovery). The
 /// default [`NoopProfiler`] is likewise a zero-sized no-op; attach a
-/// [`ci_obs::SpanProfiler`] with [`Pipeline::with_probe_and_profiler`] or
-/// [`crate::simulate_profiled`] to see where simulation time goes. Probes
-/// and profilers observe; they never steer — [`Stats`] is bit-identical
-/// with or without them.
+/// [`ci_obs::SpanProfiler`] (or call [`crate::simulate_profiled`]) to see
+/// where simulation time goes. Probes and profilers observe; they never
+/// steer — [`Stats`] is bit-identical with or without them.
 #[derive(Debug)]
 pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) probe: P,
@@ -161,9 +163,10 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) activity: CycleActivity,
     pub(crate) program: &'p Program,
     pub(crate) cfg: PipelineConfig,
-    // Architectural reference.
-    pub(crate) oracle: Vec<DynInst>,
-    pub(crate) oracle_hist: Vec<GlobalHistory>,
+    // Architectural reference: borrowed from the shared `ArchRef`, and
+    // copied only if a test corrupts an entry.
+    pub(crate) oracle: Cow<'p, [DynInst]>,
+    pub(crate) oracle_hist: &'p [GlobalHistory],
     // Machine state.
     pub(crate) rob: Rob<Entry>,
     pub(crate) regs: PhysRegFile,
@@ -205,90 +208,31 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) scratch_found: Vec<PendingRecovery>,
 }
 
-impl<'p> Pipeline<'p> {
-    /// Build a pipeline for `program`, pre-computing the architectural
-    /// reference trace of up to `max_insts` instructions. Events are
-    /// discarded; use [`Pipeline::with_probe`] to observe them.
-    ///
-    /// # Errors
-    /// Propagates [`EmuError`] if the program's correct path leaves the
-    /// program.
-    pub fn new(
-        program: &'p Program,
-        config: PipelineConfig,
-        max_insts: u64,
-    ) -> Result<Pipeline<'p>, EmuError> {
-        Pipeline::with_probe(program, config, max_insts, NoopProbe)
-    }
-}
-
-impl<'p, P: Probe> Pipeline<'p, P> {
-    /// Build a pipeline whose events feed `probe`.
-    ///
-    /// # Errors
-    /// Propagates [`EmuError`] if the program's correct path leaves the
-    /// program.
-    pub fn with_probe(
-        program: &'p Program,
-        config: PipelineConfig,
-        max_insts: u64,
-        probe: P,
-    ) -> Result<Pipeline<'p, P>, EmuError> {
-        Pipeline::with_probe_and_profiler(program, config, max_insts, probe, NoopProfiler)
-    }
-}
-
 impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
-    /// Build a pipeline whose events feed `probe` and whose host time is
-    /// attributed through `profiler` (a `"setup"` span covers the
-    /// architectural-reference construction; [`Pipeline::run`] adds the
-    /// per-stage spans).
-    ///
-    /// # Errors
-    /// Propagates [`EmuError`] if the program's correct path leaves the
-    /// program.
-    pub fn with_probe_and_profiler(
-        program: &'p Program,
+    /// Build a pipeline over `reference` whose events feed `probe` and whose
+    /// host time is attributed through `profiler` ([`Pipeline::run`] adds
+    /// the per-stage spans). Pass [`NoopProbe`] and [`NoopProfiler`] to
+    /// observe nothing.
+    pub fn new(
+        reference: &'p ArchRef,
         config: PipelineConfig,
-        max_insts: u64,
         probe: P,
         profiler: F,
-    ) -> Result<Pipeline<'p, P, F>, EmuError> {
-        let mut prof = profiler;
-        prof.enter("setup");
-        let trace = match run_trace_profiled(program, max_insts, &mut prof) {
-            Ok(t) => t,
-            Err(e) => {
-                prof.exit();
-                return Err(e);
-            }
-        };
-        let oracle: Vec<DynInst> = trace.insts().to_vec();
-        // Prefix global histories for the oracle-GHR mode (Figure 12).
-        let mut oracle_hist = Vec::with_capacity(oracle.len() + 1);
-        let mut h = GlobalHistory::new();
-        for d in &oracle {
-            oracle_hist.push(h);
-            if d.class() == InstClass::CondBranch {
-                h.push(d.taken);
-            }
-        }
-        oracle_hist.push(h);
-        prof.exit();
-
-        Ok(Pipeline {
+    ) -> Pipeline<'p, P, F> {
+        let program = reference.program();
+        Pipeline {
             probe,
-            prof,
+            prof: profiler,
             activity: CycleActivity::default(),
             program,
             cfg: config,
-            oracle,
-            oracle_hist,
+            oracle: Cow::Borrowed(reference.trace().insts()),
+            oracle_hist: reference.hist(),
             rob: Rob::new(config.segment),
             regs: PhysRegFile::new(),
             map: MapTable::initial(),
             committed_map: MapTable::initial(),
-            memory: Memory::with_image(program.data()),
+            memory: reference.image().clone(),
             cache: DataCache::new(config.cache),
             gshare: Gshare::new(config.predictor_bits),
             conf: (config.conf_threshold > 0)
@@ -296,7 +240,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             ctb: CorrelatedTargetBuffer::new(config.predictor_bits),
             tfr_pc: TfrTable::new(config.predictor_bits),
             tfr_xor: TfrTable::new(config.predictor_bits),
-            recon: ReconDetector::new(program, config.recon),
+            recon: ReconDetector::with_map(config.recon, || Arc::clone(reference.recon_map())),
             fetch: FetchCtx {
                 pc: program.entry(),
                 ghr: GlobalHistory::new(),
@@ -315,7 +259,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             scratch_ids: Vec::new(),
             scratch_keyed: Vec::new(),
             scratch_found: Vec::new(),
-        })
+        }
     }
 
     /// Check an id scratch buffer out of the pool.
@@ -452,13 +396,15 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         (self.probe, self.prof, self.activity)
     }
 
-    /// Force the architectural reference at retired-index `idx` onto a
-    /// bogus PC, so the next retirement at that index trips the oracle
-    /// checker. Exists so tests can exercise the failure path (the
-    /// flight-recorder dump); never call it otherwise.
+    /// Force this pipeline's view of the architectural reference at
+    /// retired-index `idx` onto a bogus PC, so the next retirement at that
+    /// index trips the oracle checker. The pipeline first takes a private
+    /// copy of the trace, so other pipelines on the same [`ArchRef`] never
+    /// see the corruption. Exists so tests can exercise the failure path
+    /// (the flight-recorder dump); never call it otherwise.
     #[doc(hidden)]
     pub fn corrupt_oracle_entry(&mut self, idx: usize) {
-        if let Some(o) = self.oracle.get_mut(idx) {
+        if let Some(o) = self.oracle.to_mut().get_mut(idx) {
             o.pc = Pc(o.pc.0 ^ 0x8000_0000);
         }
     }

@@ -53,6 +53,7 @@ mod engine;
 mod exec;
 mod recon;
 mod recover;
+mod reference;
 mod regfile;
 mod retire;
 pub mod rob;
@@ -67,11 +68,14 @@ pub use config::{
 };
 pub use engine::Pipeline;
 pub use recon::ReconDetector;
+pub use reference::ArchRef;
 pub use regfile::{MapTable, PhysReg, PhysRegFile};
 pub use stats::Stats;
 
-use ci_emu::EmuError;
+use ci_emu::{run_trace, EmuError};
 use ci_isa::Program;
+use ci_obs::{NoopProbe, NoopProfiler};
+use std::sync::Arc;
 
 /// Run `program` through the detailed pipeline until its architectural trace
 /// (bounded by `max_insts`) retires, returning the statistics.
@@ -88,8 +92,7 @@ pub fn simulate(
     config: PipelineConfig,
     max_insts: u64,
 ) -> Result<Stats, EmuError> {
-    let mut p = Pipeline::new(program, config, max_insts)?;
-    Ok(p.run())
+    Ok(simulate_probed(program, config, max_insts, NoopProbe)?.0)
 }
 
 /// Like [`simulate`], but with an observability probe attached: every
@@ -109,9 +112,8 @@ pub fn simulate_probed<P: ci_obs::Probe>(
     max_insts: u64,
     probe: P,
 ) -> Result<(Stats, P), EmuError> {
-    let mut p = Pipeline::with_probe(program, config, max_insts, probe)?;
-    let stats = p.run();
-    Ok((stats, p.into_probe()))
+    let run = simulate_profiled(program, config, max_insts, probe, NoopProfiler)?;
+    Ok((run.stats, run.probe))
 }
 
 /// Everything a profiled simulation produces: the simulated statistics plus
@@ -133,8 +135,8 @@ pub struct ProfiledRun<P, F> {
 /// *host* wall time to pipeline stages through `profiler` and collects
 /// per-cycle stage-activity counters.
 ///
-/// The span tree has a `"setup"` root covering architectural-reference
-/// construction (with the functional emulation under `"emu_trace"`) and a
+/// The span tree has a `"setup"` root covering the construction of the
+/// run's [`ArchRef`] (with the functional emulation under `"emu_trace"`) and a
 /// `"cycle_loop"` root whose children are the per-stage spans: `complete`,
 /// `recovery`, `retire`, `fetch` (which includes dispatch), and `issue`
 /// (which includes execution). Profilers observe host time only — the
@@ -149,7 +151,15 @@ pub fn simulate_profiled<P: ci_obs::Probe, F: ci_obs::Profiler>(
     probe: P,
     profiler: F,
 ) -> Result<ProfiledRun<P, F>, EmuError> {
-    let mut p = Pipeline::with_probe_and_profiler(program, config, max_insts, probe, profiler)?;
+    let mut prof = profiler;
+    prof.enter("setup");
+    prof.enter("emu_trace");
+    let trace = run_trace(program, max_insts);
+    prof.exit();
+    let reference = trace.map(|t| ArchRef::from_trace(Arc::new(program.clone()), t));
+    prof.exit();
+    let reference = reference?;
+    let mut p = Pipeline::new(&reference, config, probe, prof);
     let stats = p.run();
     let (probe, profiler, activity) = p.into_parts();
     Ok(ProfiledRun {

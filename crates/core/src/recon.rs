@@ -5,6 +5,7 @@ use crate::config::ReconStrategy;
 use ci_cfg::ReconvergenceMap;
 use ci_isa::{Inst, InstClass, Pc, Program};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Identifies candidate reconvergent points for mispredicted branches.
 ///
@@ -24,7 +25,8 @@ use std::collections::HashSet;
 #[derive(Clone, Debug)]
 pub struct ReconDetector {
     strategy: ReconStrategy,
-    software: ReconvergenceMap,
+    /// The post-dominator map; present exactly when the strategy uses it.
+    software: Option<Arc<ReconvergenceMap>>,
     candidates: HashSet<Pc>,
 }
 
@@ -32,14 +34,18 @@ impl ReconDetector {
     /// Build a detector for `program` under `strategy`.
     #[must_use]
     pub fn new(program: &Program, strategy: ReconStrategy) -> ReconDetector {
-        let software = if strategy.postdominator {
-            ReconvergenceMap::compute(program)
-        } else {
-            ReconvergenceMap::default()
-        };
+        ReconDetector::with_map(strategy, || Arc::new(ReconvergenceMap::compute(program)))
+    }
+
+    /// Build a detector under `strategy` whose software map, if the
+    /// strategy uses one, comes from `map` (a shared, already computed map).
+    pub(crate) fn with_map(
+        strategy: ReconStrategy,
+        map: impl FnOnce() -> Arc<ReconvergenceMap>,
+    ) -> ReconDetector {
         ReconDetector {
             strategy,
-            software,
+            software: strategy.postdominator.then(map),
             candidates: HashSet::new(),
         }
     }
@@ -65,11 +71,7 @@ impl ReconDetector {
     /// Software (post-dominator) reconvergent PC of the branch at `pc`.
     #[must_use]
     pub fn software_recon(&self, pc: Pc) -> Option<Pc> {
-        if self.strategy.postdominator {
-            self.software.reconvergent_point(pc)
-        } else {
-            None
-        }
+        self.software.as_ref()?.reconvergent_point(pc)
     }
 
     /// The `ltb` heuristic's reconvergent PC for a mispredicted branch: the

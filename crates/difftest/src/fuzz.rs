@@ -22,8 +22,9 @@ use crate::coverage::CoverageMap;
 use crate::mutate::mutate;
 use crate::shrink::shrink;
 use crate::spec::TrialSpec;
-use crate::trial::{check_program, check_program_cov, run_trial, Failure};
+use crate::trial::{check_program, check_reference, run_trial, Failure};
 use crate::TrialCoverage;
+use ci_core::ArchRef;
 use ci_obs::json::JsonValue;
 use ci_report::{f as fmt_f, Table};
 use ci_workloads::{random_structured, SplitMix64, StructuredProgram};
@@ -610,23 +611,21 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
 }
 
 fn run_task(task: &RoundTask) -> TrialResult {
-    let program = task.program.emit();
-    if matches!(task.kind, TaskKind::Mutated { .. }) {
-        // Pre-screen mutants: a well-formed mutant always halts, but
-        // stacked duplications can push its dynamic length past the trial
-        // budget — that is a rejected input, not a finding.
-        match ci_emu::run_trace(&program, task.spec.max_insts) {
-            Ok(trace) if trace.completed() => {}
-            _ => {
-                return TrialResult {
-                    rejected: true,
-                    failures: Vec::new(),
-                    coverage: TrialCoverage::default(),
-                }
-            }
-        }
+    // One architectural reference serves the pre-screen and every check.
+    let reference = ArchRef::build(task.program.emit(), task.spec.max_insts);
+    // Pre-screen mutants: a well-formed mutant always halts, but stacked
+    // duplications can push its dynamic length past the trial budget — that
+    // is a rejected input, not a finding.
+    if matches!(task.kind, TaskKind::Mutated { .. })
+        && !reference.as_ref().is_ok_and(|r| r.trace().completed())
+    {
+        return TrialResult {
+            rejected: true,
+            failures: Vec::new(),
+            coverage: TrialCoverage::default(),
+        };
     }
-    let (_, failures, coverage) = check_program_cov(&program, &task.spec);
+    let (_, failures, coverage) = check_reference(reference, &task.spec);
     TrialResult {
         rejected: false,
         failures,

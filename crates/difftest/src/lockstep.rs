@@ -1,10 +1,10 @@
 //! Lockstep execution of one detailed-pipeline configuration against the
 //! functional emulator, with panic capture and retirement-stream logging.
 
-use ci_core::{Pipeline, PipelineConfig, Stats};
+use ci_core::{ArchRef, Pipeline, PipelineConfig, Stats};
 use ci_emu::Trace;
 use ci_isa::Program;
-use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, Probe};
+use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, NoopProfiler, Probe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Probe used by every lockstep run: a bounded flight recorder (for failure
@@ -99,6 +99,9 @@ impl LockstepRun {
 /// aborting the fuzzing process. `corrupt` optionally poisons one
 /// architectural-reference entry before the run — the test hook used to
 /// exercise the failure and shrinking paths on demand.
+///
+/// # Panics
+/// Panics if the program's correct path leaves the program.
 #[must_use]
 pub fn run_locked(
     program: &Program,
@@ -106,23 +109,25 @@ pub fn run_locked(
     max_insts: u64,
     corrupt: Option<usize>,
 ) -> LockstepRun {
-    run_locked_salted(program, config, max_insts, corrupt, 0)
+    let reference =
+        ArchRef::build(program.clone(), max_insts).expect("trial programs have valid traces");
+    run_locked_salted(&reference, config, corrupt, 0)
 }
 
-/// [`run_locked`] with an explicit coverage salt: every edge the run's
-/// coverage recorder sets folds `salt` in, so different machine variants
-/// and handling modes land in distinct regions of the campaign map.
+/// [`run_locked`] over an already built architectural reference, with an
+/// explicit coverage salt: every edge the run's coverage recorder sets
+/// folds `salt` in, so different machine variants and handling modes land
+/// in distinct regions of the campaign map. `corrupt` poisons only this
+/// run's copy of the reference.
 #[must_use]
 pub fn run_locked_salted(
-    program: &Program,
+    reference: &ArchRef,
     config: PipelineConfig,
-    max_insts: u64,
     corrupt: Option<usize>,
     salt: u64,
 ) -> LockstepRun {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut p = Pipeline::with_probe(program, config, max_insts, DiffProbe::with_salt(salt))
-            .expect("trial programs have valid traces");
+        let mut p = Pipeline::new(reference, config, DiffProbe::with_salt(salt), NoopProfiler);
         if let Some(idx) = corrupt {
             p.corrupt_oracle_entry(idx);
         }

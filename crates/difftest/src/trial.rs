@@ -3,8 +3,8 @@
 use crate::coverage::{trial_salts, TrialCoverage};
 use crate::lockstep::run_locked_salted;
 use crate::spec::TrialSpec;
-use ci_core::{CacheModel, SquashMode, Stats};
-use ci_emu::{run_trace, Trace};
+use ci_core::{ArchRef, CacheModel, SquashMode, Stats};
+use ci_emu::EmuError;
 use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, StudyInput};
 use ci_isa::Program;
 use ci_workloads::random_structured;
@@ -121,11 +121,21 @@ pub fn check_program_cov(
     program: &Program,
     spec: &TrialSpec,
 ) -> (usize, Vec<Failure>, TrialCoverage) {
+    check_reference(ArchRef::build(program.clone(), spec.max_insts), spec)
+}
+
+/// [`check_program_cov`] over the trial program's architectural reference,
+/// or the error its emulation hit. The one reference serves the three
+/// detailed machines and the study input of the idealized models.
+pub(crate) fn check_reference(
+    reference: Result<ArchRef, EmuError>,
+    spec: &TrialSpec,
+) -> (usize, Vec<Failure>, TrialCoverage) {
     let mut failures = Vec::new();
     let mut coverage = TrialCoverage::default();
 
-    let trace = match run_trace(program, spec.max_insts) {
-        Ok(t) => t,
+    let reference = match reference {
+        Ok(r) => r,
         Err(e) => {
             failures.push(Failure {
                 kind: FailureKind::Trace,
@@ -136,12 +146,13 @@ pub fn check_program_cov(
             return (0, failures, coverage);
         }
     };
+    let trace = reference.trace();
 
     // Detailed pipeline: BASE / CI / CI-I in lockstep with the oracle
     // checker armed, plus the harness's own retired-stream comparison.
     let salts = trial_salts(spec);
     for (machine, (name, config)) in spec.detailed_variants().into_iter().enumerate() {
-        let run = run_locked_salted(program, config, spec.max_insts, None, salts[machine]);
+        let run = run_locked_salted(&reference, config, None, salts[machine]);
         coverage.absorb(salts[machine], &run.coverage, run.max_restart_depth);
         if let Some(msg) = &run.panic {
             failures.push(Failure {
@@ -152,7 +163,7 @@ pub fn check_program_cov(
             });
             continue;
         }
-        if let Some(report) = run.divergence(&trace) {
+        if let Some(report) = run.divergence(trace) {
             failures.push(Failure {
                 kind: FailureKind::Divergence,
                 model: name.to_owned(),
@@ -172,7 +183,7 @@ pub fn check_program_cov(
     }
 
     // The six idealized models and their dominance relations.
-    failures.extend(ideal_invariants(program, spec, &trace));
+    failures.extend(ideal_invariants(&reference, spec));
 
     (trace.len(), failures, coverage)
 }
@@ -262,35 +273,29 @@ fn dominates(faster: u64, slower: u64) -> bool {
     (faster as f64) <= (slower as f64) * 1.05 + 16.0
 }
 
-fn ideal_invariants(program: &Program, spec: &TrialSpec, trace: &Trace) -> Vec<Failure> {
+fn ideal_invariants(reference: &ArchRef, spec: &TrialSpec) -> Vec<Failure> {
     let mut failures = Vec::new();
     let window = spec.ideal_window;
+    let trace = reference.trace();
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let input = StudyInput::build(program, spec.max_insts)?;
-        let mut results = Vec::with_capacity(ModelKind::ALL.len());
-        for model in ModelKind::ALL {
-            results.push(simulate_ideal(
-                &input,
-                &IdealConfig {
-                    model,
-                    window,
-                    ..IdealConfig::default()
-                },
-            ));
-        }
-        Ok::<Vec<IdealResult>, ci_emu::EmuError>(results)
+        let input =
+            StudyInput::from_trace(reference.program(), trace.clone(), reference.recon_map());
+        ModelKind::ALL
+            .iter()
+            .map(|&model| {
+                simulate_ideal(
+                    &input,
+                    &IdealConfig {
+                        model,
+                        window,
+                        ..IdealConfig::default()
+                    },
+                )
+            })
+            .collect::<Vec<IdealResult>>()
     }));
     let results = match run {
-        Ok(Ok(r)) => r,
-        Ok(Err(e)) => {
-            failures.push(Failure {
-                kind: FailureKind::Trace,
-                model: "ideal".to_owned(),
-                detail: format!("study input construction failed: {e}"),
-                flight: String::new(),
-            });
-            return failures;
-        }
+        Ok(r) => r,
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()

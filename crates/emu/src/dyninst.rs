@@ -1,6 +1,7 @@
 //! Dynamic instruction records and whole-program traces.
 
 use ci_isa::{Addr, Inst, InstClass, Pc, Reg};
+use std::sync::Arc;
 
 /// One dynamically executed instruction.
 ///
@@ -71,6 +72,11 @@ impl DynInst {
 
 /// A correct-path dynamic instruction trace.
 ///
+/// The instructions live in one shared allocation, so cloning a trace is a
+/// reference-count bump: every consumer of one correct path (the detailed
+/// pipeline's reference, the idealized models' study input) reads the same
+/// records.
+///
 /// ```
 /// use ci_isa::{Asm, Reg};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -85,21 +91,16 @@ impl DynInst {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
-    insts: Vec<DynInst>,
+    insts: Arc<[DynInst]>,
     completed: bool,
 }
 
 impl Trace {
     pub(crate) fn new(insts: Vec<DynInst>, completed: bool) -> Trace {
-        Trace { insts, completed }
-    }
-
-    /// Assemble a trace from raw parts — for simulators that interleave
-    /// tracing with other per-instruction work and cannot use
-    /// [`crate::run_trace`].
-    #[must_use]
-    pub fn from_parts(insts: Vec<DynInst>, completed: bool) -> Trace {
-        Trace { insts, completed }
+        Trace {
+            insts: insts.into(),
+            completed,
+        }
     }
 
     /// Number of dynamic instructions.

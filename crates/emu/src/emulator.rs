@@ -268,22 +268,6 @@ pub fn run_trace(program: &Program, max_insts: u64) -> Result<Trace, EmuError> {
     Ok(Trace::new(insts, emu.halted()))
 }
 
-/// [`run_trace`] with its host time attributed to an `"emu_trace"` span on
-/// `prof`. With [`ci_obs::NoopProfiler`] this is exactly [`run_trace`].
-///
-/// # Errors
-/// [`EmuError::PcOutOfRange`] if control flow leaves the program.
-pub fn run_trace_profiled<F: ci_obs::Profiler>(
-    program: &Program,
-    max_insts: u64,
-    prof: &mut F,
-) -> Result<Trace, EmuError> {
-    prof.enter("emu_trace");
-    let r = run_trace(program, max_insts);
-    prof.exit();
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

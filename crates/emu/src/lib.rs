@@ -46,6 +46,6 @@ mod memory;
 mod wrongpath;
 
 pub use dyninst::{DynInst, Trace};
-pub use emulator::{run_trace, run_trace_profiled, EmuError, Emulator};
+pub use emulator::{run_trace, EmuError, Emulator};
 pub use memory::Memory;
 pub use wrongpath::WrongPathEmu;

@@ -31,12 +31,18 @@ impl Memory {
     }
 
     /// Create memory initialized from `(address, value)` pairs — typically a
-    /// [`ci_isa::Program`]'s data image.
+    /// [`ci_isa::Program`]'s data image. Pairs apply in order, so a repeated
+    /// address keeps its last value, exactly as a sequence of
+    /// [`Memory::write`]s would.
     #[must_use]
     pub fn with_image(image: &[(Addr, u64)]) -> Memory {
         let mut m = Memory::new();
-        for &(a, v) in image {
-            m.write(a, v);
+        // One page lookup per run of same-page words, not one per word.
+        for run in image.chunk_by(|(a, _), (b, _)| split(*a).0 == split(*b).0) {
+            let page = m.page_mut(split(run[0].0).0);
+            for &(a, v) in run {
+                page[split(a).1] = v;
+            }
         }
         m
     }
@@ -51,11 +57,14 @@ impl Memory {
     /// Write the word at `addr`.
     pub fn write(&mut self, addr: Addr, value: u64) {
         let (page, off) = split(addr);
-        let p = self
-            .pages
+        self.page_mut(page)[off] = value;
+    }
+
+    /// The page numbered `page`, allocated zeroed on first touch.
+    fn page_mut(&mut self, page: u64) -> &mut [u64] {
+        self.pages
             .entry(page)
-            .or_insert_with(|| vec![0u64; PAGE_WORDS as usize].into_boxed_slice());
-        p[off] = value;
+            .or_insert_with(|| vec![0u64; PAGE_WORDS as usize].into_boxed_slice())
     }
 
     /// Number of resident pages (for capacity diagnostics).

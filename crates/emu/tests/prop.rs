@@ -1,7 +1,7 @@
 //! Property tests: execution semantics and wrong-path isolation.
 
 use ci_emu::exec::{alu_result, branch_taken, effective_addr};
-use ci_emu::{run_trace, Emulator};
+use ci_emu::{run_trace, Emulator, Memory};
 use ci_isa::{Addr, Op, Pc, Reg};
 use ci_workloads::random_program;
 use proptest::prelude::*;
@@ -95,6 +95,33 @@ proptest! {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "divergent outcomes: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn image_fill_matches_word_by_word_writes(
+        words in prop::collection::vec((0usize..3, 0u64..1500, any::<u64>()), 0..200)
+    ) {
+        // Three bases (one at the top of the address space) and 1500-word
+        // spans cross page boundaries, so an image mixes same-page runs,
+        // duplicate addresses and pages revisited out of order; the bulk
+        // fill must agree with sequential writes, last write winning.
+        let bases = [0u64, 0x4000, u64::MAX - 1499];
+        let image: Vec<(Addr, u64)> = words
+            .iter()
+            .map(|&(b, off, v)| (Addr(bases[b] + off), v))
+            .collect();
+        let filled = Memory::with_image(&image);
+        let mut written = Memory::new();
+        for &(a, v) in &image {
+            written.write(a, v);
+        }
+        prop_assert_eq!(filled.resident_pages(), written.resident_pages());
+        for base in bases {
+            for off in 0..1500 {
+                let a = Addr(base + off);
+                prop_assert_eq!(filled.read(a), written.read(a));
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use ci_bpred::{PredictorConfig, PredictorSuite};
 use ci_cfg::ReconvergenceMap;
-use ci_emu::{DynInst, EmuError, Emulator, Trace};
+use ci_emu::{run_trace, EmuError, Emulator, Trace};
 use ci_isa::{Addr, InstClass, Program, Reg};
 use std::collections::HashMap;
 
@@ -107,25 +107,30 @@ impl StudyInput {
     /// Propagates [`EmuError`] if correct-path control flow leaves the
     /// program.
     pub fn build(program: &Program, max_insts: u64) -> Result<StudyInput, EmuError> {
-        StudyInput::build_with(program, max_insts, PredictorConfig::paper_default())
+        let trace = run_trace(program, max_insts)?;
+        Ok(StudyInput::from_trace(
+            program,
+            trace,
+            &ReconvergenceMap::compute(program),
+        ))
     }
 
-    /// [`StudyInput::build`] with an explicit predictor configuration.
+    /// Build the study input over `trace`, an already emulated correct path
+    /// of `program` whose reconvergence map is `recon_map`. The input keeps
+    /// `trace` itself — cloning a [`Trace`] shares its allocation — so a
+    /// caller that also simulates the detailed pipeline over the same trace
+    /// holds one copy of it, not two.
     ///
-    /// # Errors
-    /// Propagates [`EmuError`] if correct-path control flow leaves the
-    /// program.
-    pub fn build_with(
-        program: &Program,
-        max_insts: u64,
-        predictor: PredictorConfig,
-    ) -> Result<StudyInput, EmuError> {
-        let recon_map = ReconvergenceMap::compute(program);
+    /// # Panics
+    /// Panics if `trace` is not `program`'s correct path.
+    #[must_use]
+    pub fn from_trace(program: &Program, trace: Trace, recon_map: &ReconvergenceMap) -> StudyInput {
+        // The emulator replays the trace only to hold the architectural
+        // state each wrong path forks from.
         let mut emu = Emulator::new(program);
-        let mut suite = PredictorSuite::new(predictor);
+        let mut suite = PredictorSuite::new(PredictorConfig::paper_default());
 
-        let mut insts: Vec<DynInst> = Vec::new();
-        let mut deps: Vec<Deps> = Vec::new();
+        let mut deps: Vec<Deps> = Vec::with_capacity(trace.len());
         let mut events: Vec<MispredictEvent> = Vec::new();
         let mut event_recon_pc: Vec<Option<ci_isa::Pc>> = Vec::new();
         let mut event_at: HashMap<u32, u32> = HashMap::new();
@@ -134,10 +139,13 @@ impl StudyInput {
         let mut last_writer: [Option<u32>; Reg::COUNT] = [None; Reg::COUNT];
         let mut last_store: HashMap<Addr, u32> = HashMap::new();
 
-        while !emu.halted() && (insts.len() as u64) < max_insts {
-            let pc = emu.pc();
-            let Some(d) = emu.step()? else { break };
-            let i = insts.len() as u32;
+        for (i, d) in trace.iter().enumerate() {
+            let stepped = emu.step().ok().flatten();
+            assert!(
+                stepped.as_ref() == Some(d),
+                "trace is not the program's correct path"
+            );
+            let (pc, i) = (d.pc, i as u32);
 
             // Oracle dependence edges (pre-update state).
             let mut dd = Deps::default();
@@ -212,7 +220,6 @@ impl StudyInput {
                 }
             }
 
-            insts.push(d);
             deps.push(dd);
         }
 
@@ -221,20 +228,20 @@ impl StudyInput {
         for (ev, recon_pc) in events.iter_mut().zip(event_recon_pc) {
             let Some(rpc) = recon_pc else { continue };
             let start = ev.branch_idx as usize + 1;
-            let end = (start + RECON_SCAN_LIMIT).min(insts.len());
-            ev.recon_idx = insts[start..end]
+            let end = (start + RECON_SCAN_LIMIT).min(trace.len());
+            ev.recon_idx = trace.insts()[start..end]
                 .iter()
                 .position(|d| d.pc == rpc)
                 .map(|off| (start + off) as u32);
         }
 
-        Ok(StudyInput {
-            trace: Trace::from_parts(insts, emu.halted()),
+        StudyInput {
+            trace,
             deps,
             events,
             event_at,
             predictions,
-        })
+        }
     }
 
     /// The correct-path trace.

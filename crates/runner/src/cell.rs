@@ -12,10 +12,10 @@
 //! cache and in timing reports.
 
 use crate::memo::Memo;
-use ci_core::{simulate_probed, PipelineConfig, RedispatchMode, SquashMode, Stats};
+use ci_core::{ArchRef, Pipeline, PipelineConfig, RedispatchMode, SquashMode, Stats};
 use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, StudyInput};
 use ci_isa::Program;
-use ci_obs::MetricsProbe;
+use ci_obs::{MetricsProbe, NoopProfiler};
 use ci_workloads::{Workload, WorkloadParams};
 use std::fmt;
 use std::sync::Arc;
@@ -173,8 +173,8 @@ impl CellSpec {
     }
 
     /// Run the simulation this spec describes. Pure: the output depends only
-    /// on the spec (shared program/study-input builds are memoized in
-    /// `shared` but do not change results).
+    /// on the spec (shared program, reference and study-input builds are
+    /// memoized in `shared` but do not change results).
     #[must_use]
     pub fn compute(&self, shared: &SharedInputs) -> CellOutput {
         match *self {
@@ -184,11 +184,14 @@ impl CellSpec {
                 instructions,
                 seed,
             } => {
-                let program = shared.program(workload, instructions, seed);
-                let (stats, probe) =
-                    simulate_probed(&program, config, instructions, MetricsProbe::new())
-                        .expect("workloads are valid programs");
-                CellOutput::Detailed { stats, probe }
+                let reference = shared.reference(workload, instructions, seed);
+                let mut pipeline =
+                    Pipeline::new(&reference, config, MetricsProbe::new(), NoopProfiler);
+                let stats = pipeline.run();
+                CellOutput::Detailed {
+                    stats,
+                    probe: pipeline.into_probe(),
+                }
             }
             CellSpec::Ideal {
                 workload,
@@ -270,15 +273,24 @@ impl CellOutput {
     }
 }
 
-/// Memoized program and study-input builds shared by all cells of a run.
+/// The memo key of a workload's shared inputs: name, budget and seed.
+type InputKey = (&'static str, u64, u64);
+
+/// Memoized program, architectural-reference and study-input builds shared
+/// by all cells of a run, each built once per (workload, budget, seed) and
+/// kept for the life of the engine.
 ///
-/// Building a workload's [`Program`] is cheap, but a [`StudyInput`] replays
-/// the functional emulator over the whole instruction budget — comparable to
-/// one simulation — and Figure 3 alone references it 30 times per workload.
+/// Building a workload's [`Program`] is cheap, but its [`ArchRef`] runs the
+/// functional emulator over the whole instruction budget, and `full-grid`
+/// simulates 260 detailed cells over each one. A [`StudyInput`] replays the
+/// emulator again for its wrong paths — comparable to one simulation — and
+/// Figure 3 alone references it 30 times per workload; it shares the
+/// reference's trace rather than holding a copy.
 #[derive(Default)]
 pub struct SharedInputs {
-    programs: Memo<(&'static str, u64, u64), Arc<Program>>,
-    inputs: Memo<(&'static str, u64, u64), Arc<StudyInput>>,
+    programs: Memo<InputKey, Arc<Program>>,
+    references: Memo<InputKey, Arc<ArchRef>>,
+    inputs: Memo<InputKey, Arc<StudyInput>>,
 }
 
 impl SharedInputs {
@@ -301,18 +313,41 @@ impl SharedInputs {
             .0
     }
 
-    /// The workload's study input at this budget/seed, built once.
+    /// The workload's architectural reference at this budget/seed, built
+    /// once.
     #[must_use]
-    pub fn study_input(&self, w: Workload, instructions: u64, seed: u64) -> Arc<StudyInput> {
-        let program = self.program(w, instructions, seed);
-        self.inputs
+    pub fn reference(&self, w: Workload, instructions: u64, seed: u64) -> Arc<ArchRef> {
+        self.references
             .get_or_compute((w.name(), instructions, seed), || {
+                let program = self.program(w, instructions, seed);
                 Arc::new(
-                    StudyInput::build(&program, instructions)
-                        .expect("workloads are valid programs"),
+                    ArchRef::build(program, instructions).expect("workloads are valid programs"),
                 )
             })
             .0
+    }
+
+    /// The workload's study input at this budget/seed, built once over the
+    /// shared reference's trace.
+    #[must_use]
+    pub fn study_input(&self, w: Workload, instructions: u64, seed: u64) -> Arc<StudyInput> {
+        self.inputs
+            .get_or_compute((w.name(), instructions, seed), || {
+                let r = self.reference(w, instructions, seed);
+                Arc::new(StudyInput::from_trace(
+                    r.program(),
+                    r.trace().clone(),
+                    r.recon_map(),
+                ))
+            })
+            .0
+    }
+
+    /// Number of architectural references built so far (one per distinct
+    /// workload, budget and seed).
+    #[must_use]
+    pub fn references_built(&self) -> usize {
+        self.references.len()
     }
 }
 

@@ -172,6 +172,13 @@ impl Engine {
         self.workers
     }
 
+    /// The programs, architectural references and study inputs this
+    /// engine's cells share; they live as long as the engine.
+    #[must_use]
+    pub fn shared(&self) -> &SharedInputs {
+        &self.shared
+    }
+
     /// Cells computed by simulation in this process.
     #[must_use]
     pub fn cells_computed(&self) -> u64 {

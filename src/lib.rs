@@ -48,9 +48,9 @@ pub mod experiments;
 /// Convenient re-exports for typical use.
 pub mod prelude {
     pub use ci_core::{
-        simulate, simulate_probed, simulate_profiled, CacheModel, CompletionModel, CycleActivity,
-        Pipeline, PipelineConfig, Preemption, ProfiledRun, ReconStrategy, RedispatchMode,
-        RepredictMode, SquashMode, Stats,
+        simulate, simulate_probed, simulate_profiled, ArchRef, CacheModel, CompletionModel,
+        CycleActivity, Pipeline, PipelineConfig, Preemption, ProfiledRun, ReconStrategy,
+        RedispatchMode, RepredictMode, SquashMode, Stats,
     };
     pub use ci_emu::{run_trace, Emulator, Trace};
     pub use ci_ideal::{

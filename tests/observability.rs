@@ -39,10 +39,13 @@ proptest! {
 
 #[test]
 fn forced_mismatch_dumps_flight_recorder() {
-    let p = random_program(11, 40);
-    let mut pipe =
-        ci_core::Pipeline::with_probe(&p, PipelineConfig::ci(64), 5_000, FlightRecorder::new())
-            .unwrap();
+    let reference = ArchRef::build(random_program(11, 40), 5_000).unwrap();
+    let mut pipe = Pipeline::new(
+        &reference,
+        PipelineConfig::ci(64),
+        FlightRecorder::new(),
+        NoopProfiler,
+    );
     pipe.corrupt_oracle_entry(20);
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipe.run()))
         .expect_err("corrupted oracle entry must trip the retirement checker");
@@ -85,8 +88,8 @@ fn forced_mismatch_dumps_flight_recorder() {
 
 #[test]
 fn mismatch_without_recorder_suggests_one() {
-    let p = random_program(11, 40);
-    let mut pipe = ci_core::Pipeline::new(&p, PipelineConfig::ci(64), 5_000).unwrap();
+    let reference = ArchRef::build(random_program(11, 40), 5_000).unwrap();
+    let mut pipe = Pipeline::new(&reference, PipelineConfig::ci(64), NoopProbe, NoopProfiler);
     pipe.corrupt_oracle_entry(20);
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipe.run()))
         .expect_err("corrupted oracle entry must trip the retirement checker");
