@@ -1,5 +1,5 @@
 //! Golden-file tests: pin the rendered text of the paper's Table 1, Table 2,
-//! Table 3, Table 4 and Figure 8 at a small fixed scale.
+//! Table 3, Table 4, Figure 3 and Figure 8 at a small fixed scale.
 //!
 //! These tables fold in nearly every layer of the simulator — workload
 //! generation, the emulator oracle, predictors, the detailed pipeline with
@@ -12,7 +12,9 @@
 //! ```
 
 use control_independence::ci_explore::{ExploreReport, Sweep};
-use control_independence::experiments::{figure8, table1, table2, table3, table4, Scale};
+use control_independence::experiments::{
+    figure3, figure8, table1, table2, table3, table4, Scale, FIGURE3_WINDOWS,
+};
 use control_independence::prelude::Engine;
 use std::path::PathBuf;
 
@@ -55,6 +57,16 @@ fn table3_text_is_pinned() {
 #[test]
 fn table4_text_is_pinned() {
     check_golden("table4.txt", &table4(&Engine::serial(), &SCALE).render());
+}
+
+#[test]
+fn figure3_text_is_pinned() {
+    // The six idealized models over the paper's five windows: the only
+    // golden that covers `ci-ideal`.
+    check_golden(
+        "figure3.txt",
+        &figure3(&Engine::serial(), &SCALE, &FIGURE3_WINDOWS).render(),
+    );
 }
 
 #[test]
