@@ -15,11 +15,19 @@
 //! | [`ModelKind::WrNfd`]   | yes | no |
 //! | [`ModelKind::WrFd`]    | yes | yes |
 //!
-//! All six share one cycle-driven engine ([`simulate`]) with width-16
+//! All six share one engine ([`simulate`]) with width-16
 //! fetch/issue/retire, a bounded instruction window, unlimited renaming,
 //! oracle memory disambiguation, a perfect 1-cycle data cache, and — exactly
 //! as the paper's idealized study (and Lam & Wilson's) assumes — branch
 //! predictions made under the architecturally correct global history.
+//!
+//! The engine steps cycle by cycle but is event-driven within a cycle: issue
+//! pops a key-ordered ready set, instructions wait on their producers'
+//! waiter chains and on a wake-up wheel sized from the configured
+//! latencies, false-dependence victims park on the blocking misprediction
+//! until it resolves, and fetch skips each misprediction's blocked range
+//! whole. No stage walks the window, so a cycle costs work proportional to
+//! the instructions that move, not to the window size.
 //!
 //! Unlike Lam & Wilson's trace-driven study, wrong paths here are *executed*
 //! (via [`ci_emu::WrongPathEmu`]), so the false data dependences the `FD`

@@ -2,7 +2,8 @@
 //! relations on random structured programs.
 
 use ci_ideal::{simulate, IdealConfig, ModelKind, StudyInput};
-use ci_workloads::random_program;
+use ci_isa::LatencyModel;
+use ci_workloads::{random_program, random_structured};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,5 +35,33 @@ proptest! {
         // modulo the fetch-reordering exception the paper notes — allow 5%.
         let nwr = cycles(ModelKind::NwrNfd);
         prop_assert!(nwr as f64 <= base as f64 * 1.05, "nWR-nFD {nwr} vs base {base}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Machines far from the paper's: any width, tiny windows (evictions),
+    /// and latencies long enough that wake-ups wait hundreds of cycles.
+    #[test]
+    fn all_models_retire_everything_on_any_machine(
+        seed in 0u64..2_000,
+        width in 1usize..=16,
+        window in 4usize..=64,
+        int_mul in 1u64..=300,
+        int_div in 1u64..=300,
+        cache_latency in 0u64..=300,
+    ) {
+        // One random body runs ~1k instructions; repeating it gives 5k.
+        let mut sp = random_structured(seed, 400);
+        sp.body = std::iter::repeat_n(sp.body, 8).flatten().collect();
+        let input = StudyInput::build(&sp.emit(), 5_000).unwrap();
+        prop_assert_eq!(input.len(), 5_000);
+        let latencies = LatencyModel { int_mul, int_div, ..LatencyModel::new() };
+        for model in ModelKind::ALL {
+            let cfg = IdealConfig { model, window, width, latencies, cache_latency };
+            let r = simulate(&input, &cfg);
+            prop_assert_eq!(r.retired, input.len() as u64, "{} {:?}", model, cfg);
+        }
     }
 }
