@@ -56,7 +56,15 @@ impl ConfidenceEstimator {
     /// Whether the prediction for `pc` under `hist` is high confidence.
     #[must_use]
     pub fn high_confidence(&self, pc: Pc, hist: GlobalHistory) -> bool {
-        self.counters[self.index(pc, hist)] >= self.threshold
+        self.counter(pc, hist) >= self.threshold
+    }
+
+    /// The counter for `pc` under `hist` (0..=15): the number of correct
+    /// predictions since its last reset, so a caller can compare it against
+    /// any threshold.
+    #[must_use]
+    pub fn counter(&self, pc: Pc, hist: GlobalHistory) -> u8 {
+        self.counters[self.index(pc, hist)]
     }
 
     /// Record whether the prediction for this branch was `correct`.

@@ -13,6 +13,15 @@ pub enum SquashMode {
     ControlIndependence,
 }
 
+/// [`ReconStrategy::mask`] bit of the software post-dominator scheme.
+pub(crate) const POSTDOM: u8 = 1;
+/// [`ReconStrategy::mask`] bit of the `return` heuristic.
+pub(crate) const RETURNS: u8 = 2;
+/// [`ReconStrategy::mask`] bit of the `loop` heuristic.
+pub(crate) const LOOPS: u8 = 4;
+/// [`ReconStrategy::mask`] bit of the `ltb` heuristic.
+pub(crate) const LTB: u8 = 8;
+
 /// How reconvergent points are identified (Section 3.2.1 / Appendix A.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReconStrategy {
@@ -50,6 +59,16 @@ impl ReconStrategy {
             loops,
             ltb,
         }
+    }
+
+    /// The enabled mechanisms as a 4-bit set (`POSTDOM | RETURNS | LOOPS |
+    /// LTB`), so the sixteen strategies index a bit mask.
+    pub(crate) fn mask(self) -> u8 {
+        let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+        bit(self.postdominator, POSTDOM)
+            | bit(self.returns, RETURNS)
+            | bit(self.loops, LOOPS)
+            | bit(self.ltb, LTB)
     }
 }
 

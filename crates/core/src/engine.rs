@@ -12,6 +12,7 @@ use crate::recon::ReconDetector;
 use crate::reference::ArchRef;
 use crate::regfile::{MapTable, PhysReg, PhysRegFile};
 use crate::rob::{InstId, Rob, SegCursor};
+use crate::sensitivity::Sensitivity;
 use crate::stats::Stats;
 use crate::wakeup::Wakeup;
 use ci_bpred::{
@@ -72,10 +73,11 @@ pub(crate) struct Entry {
     /// Index on the architecturally correct path, if this instruction is on
     /// it (the paper's parallel "fully-accurate window", A.3.1).
     pub oracle_idx: Option<usize>,
-    /// The prediction was high confidence at fetch, so no CI recovery
-    /// context was allocated for this branch (always false when
-    /// `conf_threshold` is 0 or for non-conditional-branch instructions).
-    pub high_conf: bool,
+    /// The branch's confidence counter at fetch (0 for anything but a
+    /// conditional branch). With `conf_threshold > 0`, a counter at or
+    /// above the threshold made the prediction high confidence, so no CI
+    /// recovery context was allocated for this branch.
+    pub conf_count: u8,
     // Statistics flags (Table 3 taxonomy).
     pub survived: bool,
     pub saved_done: bool,
@@ -176,10 +178,10 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) cache: DataCache,
     // Predictors.
     pub(crate) gshare: Gshare,
-    /// Branch confidence estimator gating CI resource allocation; present
-    /// only when `conf_threshold > 0` so the default configuration pays
-    /// nothing and behaves bit-identically to the unguarded machine.
-    pub(crate) conf: Option<ConfidenceEstimator>,
+    /// Branch confidence estimator gating CI resource allocation. It runs
+    /// on every machine, so each recovery can note its branch's counter in
+    /// the sensitivity record, but steers only when `conf_threshold > 0`.
+    pub(crate) conf: ConfidenceEstimator,
     pub(crate) ctb: CorrelatedTargetBuffer,
     pub(crate) tfr_pc: TfrTable,
     pub(crate) tfr_xor: TfrTable,
@@ -206,6 +208,8 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) scratch_ids: Vec<Vec<InstId>>,
     pub(crate) scratch_keyed: Vec<Vec<(u64, InstId)>>,
     pub(crate) scratch_found: Vec<PendingRecovery>,
+    /// What this run's decisions depended on (see [`Sensitivity`]).
+    pub(crate) sens: Sensitivity,
 }
 
 impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
@@ -235,12 +239,15 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             memory: reference.image().clone(),
             cache: DataCache::new(config.cache),
             gshare: Gshare::new(config.predictor_bits),
-            conf: (config.conf_threshold > 0)
-                .then(|| ConfidenceEstimator::new(config.predictor_bits, config.conf_threshold)),
+            conf: ConfidenceEstimator::new(config.predictor_bits, config.conf_threshold.max(1)),
             ctb: CorrelatedTargetBuffer::new(config.predictor_bits),
             tfr_pc: TfrTable::new(config.predictor_bits),
             tfr_xor: TfrTable::new(config.predictor_bits),
-            recon: ReconDetector::with_map(config.recon, || Arc::clone(reference.recon_map())),
+            recon: ReconDetector::with_map(
+                program,
+                config.recon,
+                Arc::clone(reference.recon_map()),
+            ),
             fetch: FetchCtx {
                 pc: program.entry(),
                 ghr: GlobalHistory::new(),
@@ -259,6 +266,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             scratch_ids: Vec::new(),
             scratch_keyed: Vec::new(),
             scratch_found: Vec::new(),
+            sens: Sensitivity::default(),
         }
     }
 
@@ -389,6 +397,14 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         &self.activity
     }
 
+    /// What the decisions of this run so far depended on: after
+    /// [`Pipeline::run`], [`Sensitivity::covers`] says which sibling
+    /// configurations would have simulated exactly this run.
+    #[must_use]
+    pub fn sensitivity(&self) -> &Sensitivity {
+        &self.sens
+    }
+
     /// Consume the pipeline, returning the probe, the profiler, and the
     /// stage-activity counters.
     #[must_use]
@@ -500,7 +516,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 })
                 .collect();
             eprintln!(
-                "  [{n}] {} {:?} state={:?} resolved={} exec_next={:?} pred_next={} oracle={:?} survived={} high_conf={} srcs=[{}]",
+                "  [{n}] {} {:?} state={:?} resolved={} exec_next={:?} pred_next={} oracle={:?} survived={} conf={} srcs=[{}]",
                 e.pc,
                 e.inst.op,
                 e.state,
@@ -509,7 +525,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 e.pred_next,
                 e.oracle_idx,
                 e.survived,
-                e.high_conf,
+                e.conf_count,
                 srcs.join("; ")
             );
         }
@@ -672,7 +688,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             };
             // Window capacity. A restart may squash youngest-first to make
             // room (Section 3.2.2); normal fetch just stalls.
-            while self.rob.capacity_used() >= self.cfg.window {
+            while self.window_full() {
                 match &self.seq {
                     Sequencer::Restart(_) => {
                         if !self.evict_youngest_for_restart() {
@@ -684,9 +700,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                             return;
                         }
                         // Eviction may have degenerated the restart.
-                        if !matches!(self.seq, Sequencer::Restart(_))
-                            && self.rob.capacity_used() >= self.cfg.window
-                        {
+                        if !matches!(self.seq, Sequencer::Restart(_)) && self.window_full() {
                             return;
                         }
                     }
@@ -699,6 +713,13 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 return;
             }
         }
+    }
+
+    /// The fetch capacity check: whether the window is full. Every
+    /// evaluation is noted in the sensitivity record.
+    fn window_full(&mut self) -> bool {
+        self.sens
+            .note_capacity(self.rob.capacity_used(), self.cfg.window)
     }
 
     /// A restart whose fill path dead-ends (halt or out-of-program) can
@@ -789,15 +810,11 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
 
         // Predict the next PC.
         let ghr_before = self.fetch.ghr;
-        let hist = if self.cfg.oracle_ghr {
-            oracle_idx.map_or(ghr_before, |i| self.oracle_hist[i])
-        } else {
-            ghr_before
-        };
+        let oracle_hist = oracle_idx.map(|i| self.oracle_hist[i]);
         let fallthrough = pc.next();
         let next = match class {
             InstClass::CondBranch => {
-                let t = self.gshare.predict(pc, hist);
+                let t = self.predict(ghr_before, oracle_hist, |p, h| p.gshare.predict(pc, h));
                 self.fetch.ghr.push(t);
                 if t {
                     inst.static_target().unwrap_or(fallthrough)
@@ -815,7 +832,8 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 if inst.dest().is_some() {
                     self.fetch.ras.push(fallthrough);
                 }
-                self.ctb.predict(pc, hist).unwrap_or(fallthrough)
+                self.predict(ghr_before, oracle_hist, |p, h| p.ctb.predict(pc, h))
+                    .unwrap_or(fallthrough)
             }
             InstClass::Halt => {
                 self.fetch.stalled = true;
@@ -827,12 +845,13 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
 
         // Confidence gating (conf_threshold > 0 only): a high-confidence
         // conditional branch gets no CI recovery context — if it does
-        // mispredict, recovery falls back to a complete squash. Indexed by
-        // the speculative history, matching the estimator update at
-        // retirement.
-        let high_conf = match (&self.conf, class) {
-            (Some(conf), InstClass::CondBranch) => conf.high_confidence(pc, ghr_before),
-            _ => false,
+        // mispredict, recovery falls back to a complete squash. The counter
+        // is read now, indexed by the speculative history to match the
+        // estimator update at retirement, and compared at recovery.
+        let conf_count = if class == InstClass::CondBranch {
+            self.conf.counter(pc, ghr_before)
+        } else {
+            0
         };
 
         // Rename against the active map (the restart's own map while filling
@@ -892,7 +911,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             ras_after,
             fetched_at: self.now,
             oracle_idx,
-            high_conf,
+            conf_count,
             survived: false,
             saved_done: false,
             discarded: false,
@@ -942,6 +961,30 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         self.wake.push_young(self.now + 2, id);
         self.probe.record(self.now, Event::Dispatch { pc: pc.0 });
         self.fetch.pc = next;
+    }
+
+    /// Predict with `predictor` under the history the configuration
+    /// selects: the speculative history `spec`, or with `oracle_ghr` the
+    /// architecturally correct `oracle` one of an instruction on the
+    /// correct path. Notes in the sensitivity record when the other
+    /// history would predict otherwise.
+    pub(crate) fn predict<T: PartialEq>(
+        &mut self,
+        spec: GlobalHistory,
+        oracle: Option<GlobalHistory>,
+        predictor: impl Fn(&Self, GlobalHistory) -> T,
+    ) -> T {
+        let oracle = oracle.unwrap_or(spec);
+        let (hist, other) = if self.cfg.oracle_ghr {
+            (oracle, spec)
+        } else {
+            (spec, oracle)
+        };
+        let chosen = predictor(self, hist);
+        if other != hist && !self.sens.history_sensitive() && predictor(self, other) != chosen {
+            self.sens.note_history();
+        }
+        chosen
     }
 
     /// Restore a RAS snapshot stored on an entry into the fetch context.

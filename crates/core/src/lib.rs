@@ -57,6 +57,7 @@ mod reference;
 mod regfile;
 mod retire;
 pub mod rob;
+mod sensitivity;
 mod stats;
 mod wakeup;
 
@@ -70,6 +71,7 @@ pub use engine::Pipeline;
 pub use recon::ReconDetector;
 pub use reference::ArchRef;
 pub use regfile::{MapTable, PhysReg, PhysRegFile};
+pub use sensitivity::Sensitivity;
 pub use stats::Stats;
 
 use ci_emu::{run_trace, EmuError};

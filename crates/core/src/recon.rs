@@ -1,10 +1,9 @@
 //! Reconvergent-point detection: software post-dominators and the hardware
 //! heuristics of Appendix A.5.
 
-use crate::config::ReconStrategy;
+use crate::config::{ReconStrategy, LOOPS, LTB, POSTDOM, RETURNS};
 use ci_cfg::ReconvergenceMap;
 use ci_isa::{Inst, InstClass, Pc, Program};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Identifies candidate reconvergent points for mispredicted branches.
@@ -20,33 +19,53 @@ use std::sync::Arc;
 ///   branches (`loop` heuristic) — plus the precise `ltb` rule for
 ///   mispredicted backward branches (their not-taken target).
 ///
-/// The window search itself (nearest candidate after the branch) is done by
-/// the pipeline, which owns the window.
+/// The detector learns both candidate tables, as one flag byte per PC,
+/// whatever its strategy, and keeps the post-dominator map even when the
+/// strategy ignores it: the pipeline asks where *every* heuristic would
+/// reconverge so a run can tell which other strategies it speaks for, and
+/// picks the first window entry that one of its strategy's heuristics
+/// matches.
 #[derive(Clone, Debug)]
 pub struct ReconDetector {
     strategy: ReconStrategy,
-    /// The post-dominator map; present exactly when the strategy uses it.
-    software: Option<Arc<ReconvergenceMap>>,
-    candidates: HashSet<Pc>,
+    software: Arc<ReconvergenceMap>,
+    /// `RETURNS`/`LOOPS` bits per PC: learned return and loop candidates.
+    learned: Vec<u8>,
+    /// Every bit learned at any PC so far.
+    learned_any: u8,
+}
+
+/// Where the strategy-independent heuristics place the reconvergent point
+/// of one mispredicted branch.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ReconTargets {
+    postdom: Option<Pc>,
+    ltb: Option<Pc>,
 }
 
 impl ReconDetector {
     /// Build a detector for `program` under `strategy`.
     #[must_use]
     pub fn new(program: &Program, strategy: ReconStrategy) -> ReconDetector {
-        ReconDetector::with_map(strategy, || Arc::new(ReconvergenceMap::compute(program)))
+        ReconDetector::with_map(
+            program,
+            strategy,
+            Arc::new(ReconvergenceMap::compute(program)),
+        )
     }
 
-    /// Build a detector under `strategy` whose software map, if the
-    /// strategy uses one, comes from `map` (a shared, already computed map).
+    /// Build a detector for `program` under `strategy` over `map`, the
+    /// program's (shared, already computed) post-dominator map.
     pub(crate) fn with_map(
+        program: &Program,
         strategy: ReconStrategy,
-        map: impl FnOnce() -> Arc<ReconvergenceMap>,
+        map: Arc<ReconvergenceMap>,
     ) -> ReconDetector {
         ReconDetector {
             strategy,
-            software: strategy.postdominator.then(map),
-            candidates: HashSet::new(),
+            software: map,
+            learned: vec![0; program.len()],
+            learned_any: 0,
         }
     }
 
@@ -57,44 +76,56 @@ impl ReconDetector {
     }
 
     /// Observe a decoded instruction and its predicted next PC, learning
-    /// global reconvergent-point candidates.
+    /// global reconvergent-point candidates. A target outside the program
+    /// is dropped: no window entry can ever sit there.
     pub fn observe(&mut self, pc: Pc, inst: &Inst, predicted_next: Pc) {
-        if self.strategy.returns && inst.class() == InstClass::Return {
-            self.candidates.insert(predicted_next);
-        }
-        if self.strategy.loops && inst.is_backward_branch(pc) {
+        let bit = if inst.class() == InstClass::Return {
+            RETURNS
+        } else if inst.is_backward_branch(pc) {
             // Predicted-taken → top of loop; predicted not-taken → loop exit.
-            self.candidates.insert(predicted_next);
-        }
-    }
-
-    /// Software (post-dominator) reconvergent PC of the branch at `pc`.
-    #[must_use]
-    pub fn software_recon(&self, pc: Pc) -> Option<Pc> {
-        self.software.as_ref()?.reconvergent_point(pc)
-    }
-
-    /// The `ltb` heuristic's reconvergent PC for a mispredicted branch: the
-    /// not-taken target of a backward branch.
-    #[must_use]
-    pub fn ltb_recon(&self, pc: Pc, inst: &Inst) -> Option<Pc> {
-        if self.strategy.ltb && inst.is_backward_branch(pc) {
-            Some(pc.next())
+            LOOPS
         } else {
-            None
+            return;
+        };
+        if let Some(flags) = self.learned.get_mut(predicted_next.index()) {
+            *flags |= bit;
+            self.learned_any |= bit;
         }
     }
 
-    /// Whether `pc` is a learned global reconvergent-point candidate.
-    #[must_use]
-    pub fn is_candidate(&self, pc: Pc) -> bool {
-        (self.strategy.returns || self.strategy.loops) && self.candidates.contains(&pc)
+    /// The post-dominator and `ltb` points of the branch at `pc`, whether
+    /// or not the strategy uses them.
+    pub(crate) fn targets(&self, pc: Pc, inst: &Inst) -> ReconTargets {
+        ReconTargets {
+            postdom: self.software.reconvergent_point(pc),
+            ltb: inst.is_backward_branch(pc).then(|| pc.next()),
+        }
     }
 
-    /// Whether any hardware heuristic is enabled.
-    #[must_use]
-    pub fn uses_heuristics(&self) -> bool {
-        self.strategy.returns || self.strategy.loops || self.strategy.ltb
+    /// The heuristics (a [`ReconStrategy::mask`] set) that can match some
+    /// window entry for a branch with these targets.
+    pub(crate) fn possible(&self, t: ReconTargets) -> u8 {
+        let mut m = self.learned_any;
+        if t.postdom.is_some() {
+            m |= POSTDOM;
+        }
+        if t.ltb.is_some() {
+            m |= LTB;
+        }
+        m
+    }
+
+    /// The heuristics that take a window entry at `pc` as the reconvergent
+    /// point of a branch with targets `t`, whether or not enabled.
+    pub(crate) fn matches(&self, t: ReconTargets, pc: Pc) -> u8 {
+        let mut m = self.learned.get(pc.index()).copied().unwrap_or(0);
+        if t.postdom == Some(pc) {
+            m |= POSTDOM;
+        }
+        if t.ltb == Some(pc) {
+            m |= LTB;
+        }
+        m
     }
 }
 
@@ -117,42 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn software_mode_uses_postdominators() {
+    fn postdominator_and_ltb_points_do_not_depend_on_the_strategy() {
         let p = looped();
-        let d = ReconDetector::new(&p, ReconStrategy::software());
-        assert_eq!(d.software_recon(Pc(2)), Some(Pc(3)));
-        assert!(!d.uses_heuristics());
-        assert!(!d.is_candidate(Pc(3)));
-    }
-
-    #[test]
-    fn return_heuristic_learns_targets() {
-        let p = looped();
-        let mut d = ReconDetector::new(&p, ReconStrategy::hardware(true, false, false));
-        assert_eq!(d.software_recon(Pc(2)), None);
-        let ret = *p.fetch(Pc(5)).unwrap();
-        d.observe(Pc(5), &ret, Pc(4));
-        assert!(d.is_candidate(Pc(4)));
-        assert!(!d.is_candidate(Pc(1)));
-    }
-
-    #[test]
-    fn loop_heuristic_learns_both_targets() {
-        let p = looped();
-        let mut d = ReconDetector::new(&p, ReconStrategy::hardware(false, true, false));
+        let d = ReconDetector::new(&p, ReconStrategy::hardware(true, false, false));
         let b = *p.fetch(Pc(2)).unwrap();
-        d.observe(Pc(2), &b, Pc(1)); // predicted taken: top of loop
-        assert!(d.is_candidate(Pc(1)));
-        d.observe(Pc(2), &b, Pc(3)); // predicted not-taken: loop exit
-        assert!(d.is_candidate(Pc(3)));
-    }
-
-    #[test]
-    fn ltb_gives_not_taken_target() {
-        let p = looped();
-        let d = ReconDetector::new(&p, ReconStrategy::hardware(false, false, true));
-        let b = *p.fetch(Pc(2)).unwrap();
-        assert_eq!(d.ltb_recon(Pc(2), &b), Some(Pc(3)));
+        let t = d.targets(Pc(2), &b);
+        assert_eq!(d.matches(t, Pc(3)), POSTDOM | LTB);
+        assert_eq!(d.possible(t), POSTDOM | LTB, "nothing learned yet");
         // Forward branches are not covered by ltb.
         let mut a2 = Asm::new();
         a2.beq(Reg::R1, Reg::R0, "end");
@@ -160,6 +162,26 @@ mod tests {
         a2.halt();
         let p2 = a2.assemble().unwrap();
         let fwd = *p2.fetch(Pc(0)).unwrap();
-        assert_eq!(d.ltb_recon(Pc(0), &fwd), None);
+        let d2 = ReconDetector::new(&p2, ReconStrategy::software());
+        assert_eq!(d2.matches(d2.targets(Pc(0), &fwd), Pc(1)), POSTDOM);
+    }
+
+    #[test]
+    fn every_strategy_learns_return_and_loop_candidates() {
+        let p = looped();
+        let ret = *p.fetch(Pc(5)).unwrap();
+        let b = *p.fetch(Pc(2)).unwrap();
+        let mut d = ReconDetector::new(&p, ReconStrategy::software());
+        d.observe(Pc(5), &ret, Pc(4)); // return target
+        d.observe(Pc(2), &b, Pc(1)); // predicted taken: top of loop
+        d.observe(Pc(2), &b, Pc(3)); // predicted not-taken: loop exit
+        d.observe(Pc(2), &b, Pc(99)); // outside the program: dropped
+        let fwd = *p.fetch(Pc(0)).unwrap();
+        let t = d.targets(Pc(0), &fwd);
+        assert_eq!(d.matches(t, Pc(4)), RETURNS);
+        assert_eq!(d.matches(t, Pc(1)), LOOPS);
+        assert_eq!(d.matches(t, Pc(3)), LOOPS);
+        assert_eq!(d.matches(t, Pc(0)), 0);
+        assert_eq!(d.possible(t), RETURNS | LOOPS);
     }
 }

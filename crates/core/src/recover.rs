@@ -47,17 +47,17 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         cands.sort_unstable();
 
         let mut older_unsettled = false;
+        // The oldest unresolved store's key, computed on the first completed
+        // candidate (nothing in this walk changes it).
+        let mut oldest_store: Option<Option<u64>> = None;
         let mut found = std::mem::take(&mut self.scratch_found);
         let mut resolved_ok = self.take_ids();
 
-        for &(_, id) in &cands {
+        for &(key, id) in &cands {
             let e = self.rob.get(id);
-            let gate_order = !in_order || !older_unsettled;
+            let behind_ctrl = older_unsettled;
             older_unsettled = true;
             if e.state != EState::Done {
-                continue;
-            }
-            if !gate_order {
                 continue;
             }
             // non-dspec models: operands must not be affected by data
@@ -65,7 +65,11 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             // issuing ahead of unresolved stores, so a branch may complete
             // once no older store's address remains unresolved (the
             // condition self-clears as stores execute).
-            if non_dspec && self.has_unresolved_older_store(id) {
+            let behind_store = oldest_store
+                .get_or_insert_with(|| self.oldest_unresolved_store())
+                .is_some_and(|k| k < key);
+            self.sens.note_gate(behind_ctrl, behind_store);
+            if (in_order && behind_ctrl) || (non_dspec && behind_store) {
                 continue;
             }
             let exec_next = e.exec_next.expect("completed control has exec_next");
@@ -92,12 +96,14 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             // Oracle suppression of false mispredictions (the *-HFM models):
             // delay completion while the current path is architecturally
             // right but the operands say otherwise.
-            if self.cfg.hide_false_mispredictions {
-                if let Some(i) = e.oracle_idx {
-                    let oracle_next = self.oracle[i].next_pc;
-                    if succ == Some(oracle_next) && exec_next != oracle_next {
-                        continue;
-                    }
+            let false_mismatch = e.oracle_idx.is_some_and(|i| {
+                let oracle_next = self.oracle[i].next_pc;
+                succ == Some(oracle_next) && exec_next != oracle_next
+            });
+            if false_mismatch {
+                self.sens.note_false_mismatch();
+                if self.cfg.hide_false_mispredictions {
+                    continue;
                 }
             }
             resolved_ok.push(id);
@@ -177,6 +183,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     }
                     // Preemption by a logically earlier misprediction.
                     self.stats.preemptions += 1;
+                    self.sens.note_preemption();
                     let rs = rs.clone();
                     match self.cfg.preemption {
                         Preemption::Optimal => {
@@ -214,17 +221,22 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         }
     }
 
-    /// Whether any store older than `id` has not yet resolved its address.
-    /// The store membership set replaces the window walk (order does not
-    /// matter for an existence check).
-    fn has_unresolved_older_store(&self, id: InstId) -> bool {
-        let key = self.rob.key(id);
-        self.wake.stores.iter().any(|&sid| {
-            self.rob.alive(sid) && self.rob.key(sid) < key && {
-                let se = self.rob.get(sid);
-                se.class == InstClass::Store && se.state != EState::Done
-            }
-        })
+    /// The window key of the oldest store that has not yet resolved its
+    /// address: an instruction has an unresolved older store exactly when
+    /// its key is larger. The store membership set replaces the window walk
+    /// (a minimum needs no order).
+    fn oldest_unresolved_store(&self) -> Option<u64> {
+        self.wake
+            .stores
+            .iter()
+            .filter(|&&sid| {
+                self.rob.alive(sid) && {
+                    let se = self.rob.get(sid);
+                    se.class == InstClass::Store && se.state != EState::Done
+                }
+            })
+            .map(|&sid| self.rob.key(sid))
+            .min()
     }
 
     /// Clear a branch's resolution flag so its path consistency is
@@ -365,23 +377,45 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         self.remove_entry(id);
     }
 
-    /// Find the reconvergent point of the mispredicted branch `b` in the
-    /// window (Section 3.2.1 / Appendix A.5): the first instruction after
-    /// `b` matching, in priority order, the `ltb` target, the software
-    /// post-dominator, or a learned global candidate.
-    pub(crate) fn find_recon_entry(&self, b: InstId) -> Option<InstId> {
+    /// Decide how the mispredicted branch `b` recovers: the reconvergent
+    /// point its CI context finds in the window (Section 3.2.1 / Appendix
+    /// A.5), or `None` for a complete squash — always on the BASE machine,
+    /// and for a branch whose prediction was high confidence (no CI context
+    /// was allocated at fetch). The point is the first instruction after
+    /// `b` that any enabled heuristic (`ltb` target, software
+    /// post-dominator, learned global candidate) matches.
+    ///
+    /// The scan also notes in the sensitivity record which heuristics match
+    /// before the chosen point (anywhere in the window if none was chosen)
+    /// and at it, with the branch's confidence counter, so the record can
+    /// tell which other squash modes, strategies and thresholds would
+    /// recover the same way.
+    fn recovery_point(&mut self, b: InstId) -> Option<InstId> {
         let e = self.rob.get(b);
-        let ltb = self.recon.ltb_recon(e.pc, &e.inst);
-        let soft = self.recon.software_recon(e.pc);
+        let counter = e.conf_count;
+        let threshold = self.cfg.conf_threshold;
+        let ci = self.cfg.squash == SquashMode::ControlIndependence
+            && !(threshold > 0 && counter >= threshold);
+        let targets = self.recon.targets(e.pc, &e.inst);
+        let enabled = if ci { self.recon.strategy().mask() } else { 0 };
+        let possible = self.recon.possible(targets);
+        let (mut before, mut at, mut point) = (0u8, 0u8, None);
         let mut cur = self.rob.next(b);
         while let Some(id) = cur {
-            let pc = self.rob.get(id).pc;
-            if ltb == Some(pc) || soft == Some(pc) || self.recon.is_candidate(pc) {
-                return Some(id);
+            if enabled == 0 && before == possible {
+                break; // nothing left to learn
             }
+            let m = self.recon.matches(targets, self.rob.get(id).pc);
+            if m & enabled != 0 {
+                (at, point) = (m, Some(id));
+                break;
+            }
+            before |= m;
             cur = self.rob.next(id);
         }
-        None
+        self.sens
+            .note_recovery(counter, before, at, point.is_some());
+        point
     }
 
     /// Execute a recovery: classify it, selectively squash (or fully
@@ -402,15 +436,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             ghr.push(taken_dir);
         }
 
-        // A high-confidence branch had no CI context allocated at fetch
-        // (conf_threshold gating), so its misprediction recovers with a
-        // complete squash even on the CI machine.
-        let recon_entry =
-            if self.cfg.squash == SquashMode::ControlIndependence && !self.rob.get(b).high_conf {
-                self.find_recon_entry(b)
-            } else {
-                None
-            };
+        let recon_entry = self.recovery_point(b);
 
         self.rob.get_mut(b).pred_next = rec.redirect;
         let branch_pc = self.rob.get(b).pc;
@@ -584,6 +610,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         if !matches!(self.seq, Sequencer::Redispatch(_)) {
             return;
         }
+        self.sens.note_redispatch();
         let budget = match self.cfg.redispatch {
             RedispatchMode::Pipelined => self.cfg.width,
             RedispatchMode::Instant => usize::MAX,
@@ -775,30 +802,14 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             // not-taken targets coincide, direction is immaterial.
             let current_dir = current_next == target;
             let e = self.rob.get(id);
-            let hist = if self.cfg.oracle_ghr {
-                e.oracle_idx.map_or(ghr_now, |i| self.oracle_hist[i])
-            } else {
-                ghr_now
-            };
-            let new_dir = match self.cfg.repredict {
-                RepredictMode::None => current_dir,
-                RepredictMode::Heuristic => {
-                    if e.state == EState::Done {
-                        e.taken // completed branches force the predictor
-                    } else {
-                        self.gshare.predict(pc, hist)
-                    }
-                }
-                RepredictMode::Oracle => match e.oracle_idx {
-                    Some(i) => self.oracle[i].taken,
-                    None => {
-                        if e.state == EState::Done {
-                            e.taken
-                        } else {
-                            self.gshare.predict(pc, hist)
-                        }
-                    }
-                },
+            let (done, taken, oracle_idx) = (e.state == EState::Done, e.taken, e.oracle_idx);
+            let oracle_hist = oracle_idx.map(|i| self.oracle_hist[i]);
+            let new_dir = match (self.cfg.repredict, oracle_idx) {
+                (RepredictMode::None, _) => current_dir,
+                (RepredictMode::Oracle, Some(i)) => self.oracle[i].taken,
+                // Completed branches force the predictor.
+                _ if done => taken,
+                _ => self.predict(ghr_now, oracle_hist, |p, h| p.gshare.predict(pc, h)),
             };
             let new_next = if new_dir { target } else { fallthrough };
             if new_dir != current_dir && target != fallthrough {

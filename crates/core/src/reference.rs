@@ -21,8 +21,9 @@ use std::sync::{Arc, OnceLock};
 /// - the global history before each trace instruction, for the
 ///   oracle-history mode of Figure 12;
 /// - the initial data-memory image, which each pipeline copies;
-/// - the software reconvergence map, built on first use because machines
-///   that use only the hardware heuristics never need it.
+/// - the software reconvergence map, built on first use. Every pipeline
+///   reads it, whatever its reconvergence strategy, so its sensitivity
+///   record can note where the post-dominator would reconverge.
 ///
 /// A [`crate::Pipeline`] borrows its reference for its whole life and never
 /// writes to it.

@@ -129,9 +129,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     let (pc, h, taken) = (e.pc, e.ghr_before, e.taken);
                     let correct = e.first_pred_next == e.exec_next.expect("control");
                     self.gshare.update(pc, h, taken);
-                    if let Some(conf) = &mut self.conf {
-                        conf.update(pc, h, correct);
-                    }
+                    self.conf.update(pc, h, correct);
                 }
                 InstClass::IndirectJump => {
                     let (pc, h, next) = (e.pc, e.ghr_before, e.exec_next.expect("control"));

@@ -10,7 +10,8 @@
 //!
 //! - every node carries a 64-bit order key assigned by gap numbering, so
 //!   logical-order comparisons (needed by the memory-ordering logic, A.4.3)
-//!   are O(1); keys are renumbered transparently when a gap is exhausted;
+//!   are O(1); a middle insertion steps a bounded stride into its gap, and
+//!   keys are renumbered transparently only when a gap is exhausted;
 //! - nodes belong to segments of a configurable size; capacity is charged per
 //!   *segment*, so a half-used segment wastes window space exactly as the
 //!   paper describes. Tail dispatch shares the open tail segment; each
@@ -20,6 +21,11 @@
 //! squash can be detected instead of silently aliasing new instructions.
 
 const KEY_GAP: u64 = 1 << 20;
+/// Largest key step of a middle insertion. A restart fill inserts after
+/// its own last insertion over and over; halving the remaining gap each
+/// time would exhaust a `KEY_GAP` after about twenty insertions, so
+/// insertions step by at most this much and a gap takes a few hundred.
+const MAX_STRIDE: u64 = KEY_GAP >> 8;
 
 /// Handle to a ROB node. Generational: a handle to a removed node never
 /// aliases a later node that reuses the slot.
@@ -275,17 +281,13 @@ impl<T> Rob<T> {
         let b = self.nodes[a as usize].next;
         let key = match b {
             Some(b) => {
+                if self.nodes[b as usize].key - self.nodes[a as usize].key < 2 {
+                    self.renumber();
+                }
                 let ka = self.nodes[a as usize].key;
                 let kb = self.nodes[b as usize].key;
-                if kb - ka < 2 {
-                    self.renumber();
-                    let ka = self.nodes[a as usize].key;
-                    let kb = self.nodes[b as usize].key;
-                    debug_assert!(kb - ka >= 2, "renumber must open a gap");
-                    ka + (kb - ka) / 2
-                } else {
-                    ka + (kb - ka) / 2
-                }
+                debug_assert!(kb - ka >= 2, "renumber must open a gap");
+                ka + ((kb - ka) / 2).min(MAX_STRIDE)
             }
             None => self.nodes[a as usize].key + KEY_GAP,
         };
@@ -427,6 +429,28 @@ mod tests {
         // Keys stay strictly ordered.
         let keys: Vec<u64> = rob.iter().map(|id| rob.key(id)).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// A restart fill after a tail-appended entry inserts 200 instructions
+    /// into one `KEY_GAP`: bounded strides fit them all without
+    /// renumbering, so no pre-existing key moves.
+    #[test]
+    fn a_long_fill_renumbers_nothing() {
+        let mut rob = Rob::new(1);
+        let old: Vec<InstId> = (0..4).map(|i| rob.push_back(i)).collect();
+        let keys: Vec<u64> = old.iter().map(|&id| rob.key(id)).collect();
+        let mut cur = SegCursor::default();
+        let mut at = old[2];
+        for v in 100..300 {
+            at = rob.insert_after(at, v, &mut cur);
+        }
+        assert_eq!(
+            old.iter().map(|&id| rob.key(id)).collect::<Vec<u64>>(),
+            keys,
+            "a renumber moved the keys of the entries already in the window"
+        );
+        check_links(&rob);
+        assert_eq!(rob.len(), 204);
     }
 
     #[test]

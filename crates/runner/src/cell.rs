@@ -12,7 +12,7 @@
 //! cache and in timing reports.
 
 use crate::memo::Memo;
-use ci_core::{ArchRef, Pipeline, PipelineConfig, RedispatchMode, SquashMode, Stats};
+use ci_core::{ArchRef, Pipeline, PipelineConfig, RedispatchMode, Sensitivity, SquashMode, Stats};
 use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, StudyInput};
 use ci_isa::Program;
 use ci_obs::{MetricsProbe, NoopProfiler};
@@ -177,7 +177,17 @@ impl CellSpec {
     /// memoized in `shared` but do not change results).
     #[must_use]
     pub fn compute(&self, shared: &SharedInputs) -> CellOutput {
-        match *self {
+        self.compute_recorded(shared).0
+    }
+
+    /// [`CellSpec::compute`], also returning a detailed run's sensitivity
+    /// record: which sibling configurations would have simulated exactly
+    /// this run.
+    pub(crate) fn compute_recorded(
+        &self,
+        shared: &SharedInputs,
+    ) -> (CellOutput, Option<Sensitivity>) {
+        let out = match *self {
             CellSpec::Detailed {
                 workload,
                 config,
@@ -188,10 +198,12 @@ impl CellSpec {
                 let mut pipeline =
                     Pipeline::new(&reference, config, MetricsProbe::new(), NoopProfiler);
                 let stats = pipeline.run();
-                CellOutput::Detailed {
+                let record = pipeline.sensitivity().clone();
+                let out = CellOutput::Detailed {
                     stats,
                     probe: pipeline.into_probe(),
-                }
+                };
+                return (out, Some(record));
             }
             CellSpec::Ideal {
                 workload,
@@ -222,7 +234,8 @@ impl CellSpec {
                     mispredictions: input.mispredictions(),
                 }
             }
-        }
+        };
+        (out, None)
     }
 }
 
@@ -274,7 +287,7 @@ impl CellOutput {
 }
 
 /// The memo key of a workload's shared inputs: name, budget and seed.
-type InputKey = (&'static str, u64, u64);
+pub(crate) type InputKey = (&'static str, u64, u64);
 
 /// Memoized program, architectural-reference and study-input builds shared
 /// by all cells of a run, each built once per (workload, budget, seed) and

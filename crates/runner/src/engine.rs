@@ -2,18 +2,18 @@
 //! work-stealing pool, with optional on-disk persistence and per-cell
 //! timing exported through the `ci-obs` metrics layer.
 
-use crate::cell::{fnv1a, CellOutput, CellSpec, SharedInputs};
+use crate::cell::{fnv1a, CellKey, CellOutput, CellSpec, InputKey, SharedInputs};
 use crate::fault::FaultPlan;
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 use crate::persist::{output_from_json, output_to_json, quarantine_cache_file};
 use crate::pool::{run_batch, run_batch_catching, PoolStats};
-use ci_core::{PipelineConfig, Stats};
+use ci_core::{PipelineConfig, Sensitivity, Stats};
 use ci_ideal::{IdealResult, ModelKind};
 use ci_obs::json::{parse, JsonValue};
 use ci_obs::{MetricsProbe, Registry};
 use ci_workloads::Workload;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +78,19 @@ struct CellTiming {
     family: String,
     wall: Duration,
     disposition: &'static str,
+    /// The key of the simulated run a `computed` cell was served from, if
+    /// it was not simulated itself.
+    served_from: Option<CellKey>,
+}
+
+/// A simulated detailed run that later sibling cells — same workload,
+/// budget and seed, another configuration — may be served from: its
+/// configuration and its sensitivity record. Its output stays in the memo
+/// only, under the spec the sibling's workload, budget and seed rebuild
+/// with this configuration.
+struct SiblingRun {
+    config: PipelineConfig,
+    record: Sensitivity,
 }
 
 struct Timing {
@@ -94,6 +107,13 @@ struct Timing {
 /// figures referencing the cell share the result. Cell outputs are pure
 /// functions of their specs, so the rendered experiment output is
 /// byte-identical for every worker count.
+///
+/// A detailed cell need not be simulated at all when an already simulated
+/// *sibling* — same workload, budget and seed — made every configuration
+/// decision the cell's configuration would have made (its
+/// [`Sensitivity`] record [covers](Sensitivity::covers) the cell): the
+/// cell is then served a clone of the sibling's output. A served cell still
+/// counts as computed; [`Engine::cells_served`] counts how many were.
 pub struct Engine {
     workers: usize,
     cache_dir: Option<PathBuf>,
@@ -103,7 +123,11 @@ pub struct Engine {
     /// Canonical specs that were seeded from the disk cache (to classify a
     /// later hit as `disk_hit` rather than `memo_hit`).
     disk: Mutex<HashSet<String>>,
+    /// Simulated detailed runs per (workload, budget, seed), in
+    /// registration order.
+    siblings: Mutex<HashMap<InputKey, Vec<SiblingRun>>>,
     computed: AtomicU64,
+    served: AtomicU64,
     hits: AtomicU64,
     corrupt: AtomicU64,
     loaded: AtomicU64,
@@ -131,7 +155,9 @@ impl Engine {
                 pool: PoolReport::default(),
             }),
             disk: Mutex::new(HashSet::new()),
+            siblings: Mutex::new(HashMap::new()),
             computed: AtomicU64::new(0),
+            served: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
@@ -183,6 +209,25 @@ impl Engine {
     #[must_use]
     pub fn cells_computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// Computed cells that were served from a sibling run instead of
+    /// simulated (a subset of [`Engine::cells_computed`]).
+    #[must_use]
+    pub fn cells_served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// Every computed cell that was served from a sibling run, as the
+    /// cell's canonical spec and the sibling's key, in completion order.
+    #[must_use]
+    pub fn served_cells(&self) -> Vec<(String, CellKey)> {
+        let timing = self.timing.lock().unwrap();
+        timing
+            .cells
+            .iter()
+            .filter_map(|t| Some((t.spec.clone(), t.served_from?)))
+            .collect()
     }
 
     /// Cell requests served from memory (or the loaded disk cache).
@@ -285,20 +330,55 @@ impl Engine {
         stats
     }
 
-    /// The output of one cell, computed on the calling thread if missing.
+    /// The output of one cell, computed on the calling thread if missing:
+    /// served from a covering sibling run if one was simulated, simulated
+    /// otherwise.
     #[must_use]
     pub fn cell(&self, spec: &CellSpec) -> CellOutput {
         let canonical = spec.canonical();
         let started = Instant::now();
+        let mut served_from = None;
+        let mut record = None;
         let (out, computed) = self.cells.get_or_compute(canonical.clone(), || {
             if let Some(f) = &self.faults {
                 f.before_compute(&canonical);
             }
-            spec.compute(&self.shared)
+            if let Some((source, out)) = self.sibling_output(spec) {
+                served_from = Some(source.key());
+                return out;
+            }
+            let (out, r) = spec.compute_recorded(&self.shared);
+            record = r;
+            out
         });
         let wall = started.elapsed();
         let disposition = if computed {
             self.computed.fetch_add(1, Ordering::Relaxed);
+            if served_from.is_some() {
+                self.served.fetch_add(1, Ordering::Relaxed);
+            }
+            // Registered only now that the output is in the memo, so a
+            // sibling that finds the run can always read its output.
+            if let (
+                Some(record),
+                CellSpec::Detailed {
+                    workload,
+                    config,
+                    instructions,
+                    seed,
+                },
+            ) = (record, spec)
+            {
+                self.siblings
+                    .lock()
+                    .unwrap()
+                    .entry((workload.name(), *instructions, *seed))
+                    .or_default()
+                    .push(SiblingRun {
+                        config: *config,
+                        record,
+                    });
+            }
             "computed"
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -315,8 +395,38 @@ impl Engine {
             family: spec.family(),
             wall,
             disposition,
+            served_from,
         });
         out
+    }
+
+    /// The spec and output of a simulated sibling run whose record covers
+    /// the detailed cell `spec`, if there is one.
+    fn sibling_output(&self, spec: &CellSpec) -> Option<(CellSpec, CellOutput)> {
+        let CellSpec::Detailed {
+            workload,
+            config,
+            instructions,
+            seed,
+        } = *spec
+        else {
+            return None;
+        };
+        let source = {
+            let siblings = self.siblings.lock().unwrap();
+            let run = siblings
+                .get(&(workload.name(), instructions, seed))?
+                .iter()
+                .find(|run| run.record.covers(&run.config, &config))?;
+            CellSpec::Detailed {
+                workload,
+                config: run.config,
+                instructions,
+                seed,
+            }
+        };
+        let out = self.cells.peek(&source.canonical())?;
+        Some((source, out))
     }
 
     /// Detailed-pipeline statistics for one configuration.
@@ -403,6 +513,7 @@ impl Engine {
     pub fn timing_registry(&self) -> Registry {
         let mut r = Registry::new();
         r.inc("cells_computed", self.cells_computed());
+        r.inc("cells_served", self.cells_served());
         r.inc("cells_cache_hits", self.cache_hits());
         r.inc("cells_loaded_from_disk", self.cells_loaded());
         r.inc("cache_corrupt_lines", self.corrupt_lines());
@@ -427,8 +538,10 @@ impl Engine {
     /// The full `--timing` export: the [`Engine::timing_registry`] lines
     /// plus one labelled line per cell request —
     /// `{"metric":"cell","key":..,"label":..,"workload":..,"family":..,
-    /// "wall_us":..,"disposition":"computed|memo_hit|disk_hit",...}` — so
-    /// timing data joins with [`RunMetrics`] without guesswork.
+    /// "wall_us":..,"disposition":"computed|memo_hit|disk_hit",
+    /// "served_from":..,...}` — so timing data joins with [`RunMetrics`]
+    /// without guesswork. `served_from` is the key of the sibling run a
+    /// computed cell was served from, `null` for a simulated cell or a hit.
     #[must_use]
     pub fn timing_jsonl(&self, binary: &str) -> String {
         let mut out = self.timing_registry().to_jsonl(&[("binary", binary)]);
@@ -448,6 +561,11 @@ impl Engine {
                     u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX).into(),
                 ),
                 ("disposition", t.disposition.into()),
+                (
+                    "served_from",
+                    t.served_from
+                        .map_or(JsonValue::Null, |key| JsonValue::Str(key.to_string())),
+                ),
                 ("binary", binary.into()),
             ]);
             out.push_str(&line.render());
@@ -490,6 +608,7 @@ impl Engine {
             binary: binary.to_owned(),
             workers: self.workers,
             cells_computed: self.cells_computed(),
+            cells_served: self.cells_served(),
             memo_hits: self.cache_hits().saturating_sub(disk_hits),
             disk_hits,
             cells_loaded: self.cells_loaded(),
@@ -524,6 +643,13 @@ impl Engine {
             self.corrupt_lines(),
             self.workers,
         );
+        let served = self.cells_served();
+        if served > 0 {
+            out.push_str(&format!(
+                "  {served} of the {} computed cells were served from a sibling run instead of simulated\n",
+                computed.len()
+            ));
+        }
         for t in slowest.into_iter().take(n) {
             out.push_str(&format!(
                 "  {:>9.1}ms  {}\n",
@@ -592,19 +718,22 @@ impl Engine {
             return Err(err);
         }
         std::fs::create_dir_all(dir)?;
-        let mut entries = self.cells.snapshot();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut buf = String::new();
-        for (spec, output) in entries {
-            buf.push_str(&render_cache_line(&spec, &output));
-            buf.push('\n');
-        }
+        // One output at a time: cloning every output, or rendering the
+        // whole file into one string, would set the run's peak memory.
+        let mut specs = self.cells.keys();
+        specs.sort_unstable();
         let path = dir.join(CACHE_FILE);
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
         {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
+            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            for spec in specs {
+                let output = self.cells.peek(&spec).expect("a listed cell is ready");
+                f.write_all(render_cache_line(&spec, &output).as_bytes())?;
+                f.write_all(b"\n")?;
+            }
+            f.into_inner()
+                .map_err(std::io::IntoInnerError::into_error)?
+                .sync_all()?;
         }
         std::fs::rename(&tmp, &path)
     }

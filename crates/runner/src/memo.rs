@@ -115,17 +115,15 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         self.len() == 0
     }
 
-    /// All ready `(key, value)` pairs, in unspecified order.
+    /// The keys of all ready entries, in unspecified order.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(K, V)> {
+    pub fn keys(&self) -> Vec<K> {
         self.inner
             .lock()
             .unwrap()
             .iter()
-            .filter_map(|(k, s)| match s {
-                Slot::Ready(v) => Some((k.clone(), v.clone())),
-                Slot::InFlight => None,
-            })
+            .filter(|(_, s)| matches!(s, Slot::Ready(_)))
+            .map(|(k, _)| k.clone())
             .collect()
     }
 }
@@ -195,8 +193,6 @@ mod tests {
         memo.seed(1, 10);
         memo.seed(1, 20);
         assert_eq!(memo.peek(&1), Some(10));
-        let mut snap = memo.snapshot();
-        snap.sort_unstable();
-        assert_eq!(snap, vec![(1, 10)]);
+        assert_eq!(memo.keys(), vec![1]);
     }
 }

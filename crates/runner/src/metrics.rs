@@ -78,6 +78,10 @@ pub struct RunMetrics {
     pub workers: usize,
     /// Cells computed by simulation in this process.
     pub cells_computed: u64,
+    /// Computed cells served from a simulated sibling run whose sensitivity
+    /// record covers them, instead of simulated (a subset of
+    /// `cells_computed`).
+    pub cells_served: u64,
     /// Requests served from the in-memory memo.
     pub memo_hits: u64,
     /// Requests served by cells loaded from the disk cache.
@@ -144,6 +148,7 @@ impl RunMetrics {
             ),
             ("workers", self.workers.into()),
             ("cells_computed", self.cells_computed.into()),
+            ("cells_served", self.cells_served.into()),
             ("memo_hits", self.memo_hits.into()),
             ("disk_hits", self.disk_hits.into()),
             ("cells_loaded", self.cells_loaded.into()),
@@ -181,10 +186,12 @@ impl RunMetrics {
     pub fn summary(&self) -> String {
         let p = &self.pool.stats;
         format!(
-            "run metrics: {} computed ({:.2}s), {} memo hits, {} disk hits ({:.0}% cached); \
+            "run metrics: {} computed ({:.2}s, {} served from a sibling run), {} memo hits, \
+             {} disk hits ({:.0}% cached); \
              pool: {} batches, {} jobs, {} steals, {:.0}% utilization over {} threads\n",
             self.cells_computed,
             self.compute_wall_us as f64 / 1e6,
+            self.cells_served,
             self.memo_hits,
             self.disk_hits,
             100.0 * self.hit_rate(),
@@ -207,6 +214,7 @@ mod tests {
             binary: "test".into(),
             workers: 2,
             cells_computed: 2,
+            cells_served: 1,
             memo_hits: 5,
             disk_hits: 1,
             cells_loaded: 1,
@@ -246,6 +254,7 @@ mod tests {
         let back = ci_obs::json::parse(&v.render()).unwrap();
         assert_eq!(back.get("schema").unwrap().as_str(), Some("run_metrics/v1"));
         assert_eq!(back.get("cells_computed").unwrap().as_i64(), Some(2));
+        assert_eq!(back.get("cells_served").unwrap().as_i64(), Some(1));
         let pool = back.get("pool").unwrap();
         assert_eq!(pool.get("steals").unwrap().as_i64(), Some(1));
         let cells = back.get("cells").unwrap().as_array().unwrap();
@@ -263,6 +272,7 @@ mod tests {
             binary: "x".into(),
             workers: 1,
             cells_computed: 0,
+            cells_served: 0,
             memo_hits: 0,
             disk_hits: 0,
             cells_loaded: 0,
