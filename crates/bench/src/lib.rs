@@ -1,9 +1,11 @@
-//! Experiment regeneration binaries and Criterion benchmarks.
+//! Experiment binaries and Criterion benchmarks.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index); the Criterion benches under `benches/`
-//! track the *simulator's own* performance. Scale the experiments with
-//! `CI_REPRO_INSTRUCTIONS=<n>`.
+//! `repro <name>` regenerates one table or figure of the paper (`table1`,
+//! `fig5`, ...; see `DESIGN.md` for the index), or all of them with
+//! `repro all`. `explore`, `fuzz`, `inspect`, `profile` and `throughput`
+//! drive the explorer, the differential fuzzer and the host profilers; the
+//! Criterion benches under `benches/` track the *simulator's own*
+//! performance. Scale the experiments with `CI_REPRO_INSTRUCTIONS=<n>`.
 //!
 //! Every binary accepts the shared flags of [`cli::Cli`]:
 //!

@@ -1,6 +1,7 @@
-//! End-to-end check of `--json`: run the `table1` binary, parse the JSON
-//! lines it writes with the crate's own parser, and cross-check the export
-//! against the text table on stdout.
+//! End-to-end checks of the `repro` command line: `repro table1 --json`
+//! writes JSON lines that parse with the crate's own parser and match the
+//! text table on stdout, and malformed command lines exit 2 with a usage
+//! line instead of running.
 
 use ci_obs::json::{parse, JsonValue};
 use std::process::Command;
@@ -9,15 +10,16 @@ use std::process::Command;
 fn table1_json_export_round_trips() {
     let out_path =
         std::env::temp_dir().join(format!("ci_json_export_{}.jsonl", std::process::id()));
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
         .arg("--json")
         .arg(&out_path)
         .env("CI_REPRO_INSTRUCTIONS", "4000")
         .output()
-        .expect("table1 binary runs");
+        .expect("repro binary runs");
     assert!(
         output.status.success(),
-        "table1 failed: {}",
+        "repro table1 failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
@@ -61,10 +63,42 @@ fn table1_json_export_round_trips() {
 
 #[test]
 fn json_flag_requires_path() {
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .arg("--json")
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--json"])
         .output()
-        .expect("table1 binary runs");
+        .expect("repro binary runs");
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("--json requires an argument"));
+}
+
+/// A missing name, an unknown name, an extra positional and a misspelled
+/// flag each exit 2 with the usage line before anything runs, so no
+/// `--json` file appears.
+#[test]
+fn malformed_command_lines_print_usage_and_exit_2() {
+    let out_path =
+        std::env::temp_dir().join(format!("ci_repro_usage_{}.jsonl", std::process::id()));
+    let out = out_path.to_str().expect("utf-8 temp path");
+    let cases: [&[&str]; 5] = [
+        &["--json", out],
+        &["table9", "--json", out],
+        &["table1", "table2", "--json", out],
+        &["table1", "--workrs", "4", "--json", out],
+        &["table1", "--jsno", out],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env("CI_REPRO_INSTRUCTIONS", "4000")
+            .output()
+            .expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: repro <name>") && stderr.contains("table1 fig3 fig5"),
+            "{args:?}: no usage line listing the names: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+        assert!(!out_path.exists(), "{args:?} wrote {out}");
+    }
 }

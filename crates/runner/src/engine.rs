@@ -3,7 +3,6 @@
 //! timing exported through the `ci-obs` metrics layer.
 
 use crate::cell::{fnv1a, CellKey, CellOutput, CellSpec, InputKey, SharedInputs};
-use crate::fault::FaultPlan;
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 use crate::persist::{output_from_json, output_to_json, quarantine_cache_file};
@@ -17,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// File name of the persisted cell cache inside `--cache-dir`.
@@ -32,10 +31,6 @@ pub struct EngineOptions {
     /// Directory for the persistent cell cache (`cells.jsonl`), enabling
     /// resumable runs. `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Deterministic fault-injection plan. `None` — the production default —
-    /// costs one pointer test per injection point (see the `fault_overhead`
-    /// bench).
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl EngineOptions {
@@ -58,7 +53,6 @@ impl EngineOptions {
         EngineOptions {
             workers,
             cache_dir: None,
-            faults: None,
         }
     }
 }
@@ -69,13 +63,11 @@ impl Default for EngineOptions {
     }
 }
 
-/// One recorded cell request (computed or cache hit), with the labels that
-/// make timing data joinable with [`RunMetrics`].
+/// One recorded cell request (computed or cache hit). The key, label,
+/// workload and family that join timing data with [`RunMetrics`] are
+/// derived from the spec only when a report asks for them.
 struct CellTiming {
-    spec: String,
-    label: String,
-    workload: &'static str,
-    family: String,
+    spec: CellSpec,
     wall: Duration,
     disposition: &'static str,
     /// The key of the simulated run a `computed` cell was served from, if
@@ -131,7 +123,6 @@ pub struct Engine {
     hits: AtomicU64,
     corrupt: AtomicU64,
     loaded: AtomicU64,
-    faults: Option<Arc<FaultPlan>>,
     /// Cache files quarantined because they contained corrupt lines.
     quarantined: Mutex<Vec<PathBuf>>,
     /// The design-space sweep this run executed, if the caller noted one
@@ -161,7 +152,6 @@ impl Engine {
             hits: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
-            faults: opts.faults,
             quarantined: Mutex::new(Vec::new()),
             sweep: Mutex::new(None),
         };
@@ -178,7 +168,6 @@ impl Engine {
         Engine::new(EngineOptions {
             workers: 1,
             cache_dir: None,
-            faults: None,
         })
     }
 
@@ -188,7 +177,6 @@ impl Engine {
         Engine::new(EngineOptions {
             workers,
             cache_dir: None,
-            faults: None,
         })
     }
 
@@ -226,7 +214,7 @@ impl Engine {
         timing
             .cells
             .iter()
-            .filter_map(|t| Some((t.spec.clone(), t.served_from?)))
+            .filter_map(|t| Some((t.spec.canonical(), t.served_from?)))
             .collect()
     }
 
@@ -260,61 +248,33 @@ impl Engine {
         *self.sweep.lock().unwrap() = Some(summary);
     }
 
-    /// The active fault-injection plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
-    /// Faults injected so far (0 without a plan).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.injected_total())
-    }
-
     /// Compute (or fetch) every distinct cell in `specs`, using the
     /// work-stealing pool at the configured width. Later lookups of these
     /// cells are pure cache hits, so callers can assemble tables serially
     /// and deterministically afterwards.
     pub fn prefetch(&self, specs: &[CellSpec]) {
-        let mut seen = HashSet::new();
-        let todo: Vec<CellSpec> = specs
-            .iter()
-            .filter(|s| seen.insert(s.canonical()) && self.cells.peek(&s.canonical()).is_none())
-            .cloned()
-            .collect();
-        let jobs: Vec<_> = todo
-            .into_iter()
-            .map(|spec| {
-                move || {
-                    let _ = self.cell(&spec);
-                }
-            })
-            .collect();
-        if jobs.is_empty() {
-            return;
-        }
-        let stats = run_batch(self.workers, jobs);
-        let mut timing = self.timing.lock().unwrap();
-        timing.pool.batches += 1;
-        timing.pool.stats.absorb(&stats);
+        self.prefetch_batch(specs, false);
     }
 
     /// [`Engine::prefetch`] with per-cell panic isolation: a cell whose
-    /// computation panics (a real bug or an injected fault) is counted in
-    /// [`PoolStats::panicked`] and skipped — the memo unpoisons the key, so
-    /// a later [`Engine::cell`] retry recomputes it — while every other
-    /// cell completes normally. Returns this batch's stats.
+    /// computation panics is counted in [`PoolStats::panicked`] and skipped
+    /// — the memo unpoisons the key, so a later [`Engine::cell`] call
+    /// computes it again — while every other cell completes normally.
+    /// Returns this batch's stats.
     pub fn prefetch_isolated(&self, specs: &[CellSpec]) -> PoolStats {
+        self.prefetch_batch(specs, true)
+    }
+
+    /// Compute the distinct missing cells of `specs` as one pool batch,
+    /// isolating panics when `catching`, and fold the batch's stats into
+    /// the run's pool report.
+    fn prefetch_batch(&self, specs: &[CellSpec], catching: bool) -> PoolStats {
         let mut seen = HashSet::new();
-        let todo: Vec<CellSpec> = specs
+        let jobs: Vec<_> = specs
             .iter()
             .filter(|s| seen.insert(s.canonical()) && self.cells.peek(&s.canonical()).is_none())
-            .cloned()
-            .collect();
-        let jobs: Vec<_> = todo
-            .into_iter()
             .map(|spec| {
+                let spec = spec.clone();
                 move || {
                     let _ = self.cell(&spec);
                 }
@@ -323,7 +283,11 @@ impl Engine {
         if jobs.is_empty() {
             return PoolStats::default();
         }
-        let stats = run_batch_catching(self.workers, jobs);
+        let stats = if catching {
+            run_batch_catching(self.workers, jobs)
+        } else {
+            run_batch(self.workers, jobs)
+        };
         let mut timing = self.timing.lock().unwrap();
         timing.pool.batches += 1;
         timing.pool.stats.absorb(&stats);
@@ -340,9 +304,6 @@ impl Engine {
         let mut served_from = None;
         let mut record = None;
         let (out, computed) = self.cells.get_or_compute(canonical.clone(), || {
-            if let Some(f) = &self.faults {
-                f.before_compute(&canonical);
-            }
             if let Some((source, out)) = self.sibling_output(spec) {
                 served_from = Some(source.key());
                 return out;
@@ -389,10 +350,7 @@ impl Engine {
             }
         };
         self.timing.lock().unwrap().cells.push(CellTiming {
-            spec: canonical,
-            label: spec.label(),
-            workload: spec.workload_name(),
-            family: spec.family(),
+            spec: spec.clone(),
             wall,
             disposition,
             served_from,
@@ -521,16 +479,12 @@ impl Engine {
             "cache_quarantined_files",
             self.quarantined.lock().unwrap().len() as u64,
         );
-        r.inc("faults_injected", self.faults_injected());
         let bounds: Vec<u64> = (0..=24).map(|p| 1u64 << p).collect(); // 1us..16s
         let timing = self.timing.lock().unwrap();
         for t in timing.cells.iter().filter(|t| t.disposition == "computed") {
             let us = u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX);
             r.observe("cell_wall_us", &bounds, us);
-            r.inc(
-                &format!("cell_us.{:016x}", fnv1a(t.spec.as_bytes())),
-                us.max(1),
-            );
+            r.inc(&format!("cell_us.{}", t.spec.key()), us.max(1));
         }
         r
     }
@@ -549,13 +503,10 @@ impl Engine {
         for t in &timing.cells {
             let line = JsonValue::obj([
                 ("metric", JsonValue::from("cell")),
-                (
-                    "key",
-                    JsonValue::Str(format!("{:016x}", fnv1a(t.spec.as_bytes()))),
-                ),
-                ("label", JsonValue::Str(t.label.clone())),
-                ("workload", t.workload.into()),
-                ("family", JsonValue::Str(t.family.clone())),
+                ("key", JsonValue::Str(t.spec.key().to_string())),
+                ("label", JsonValue::Str(t.spec.label())),
+                ("workload", t.spec.workload_name().into()),
+                ("family", JsonValue::Str(t.spec.family())),
                 (
                     "wall_us",
                     u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX).into(),
@@ -584,10 +535,10 @@ impl Engine {
             .cells
             .iter()
             .map(|t| CellReport {
-                key: format!("{:016x}", fnv1a(t.spec.as_bytes())),
-                label: t.label.clone(),
-                workload: t.workload,
-                family: t.family.clone(),
+                key: t.spec.key().to_string(),
+                label: t.spec.label(),
+                workload: t.spec.workload_name(),
+                family: t.spec.family(),
                 wall_us: u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX),
                 disposition: t.disposition,
             })
@@ -614,7 +565,6 @@ impl Engine {
             cells_loaded: self.cells_loaded(),
             corrupt_lines: self.corrupt_lines(),
             quarantined_files: self.quarantined.lock().unwrap().len() as u64,
-            faults_injected: self.faults_injected(),
             compute_wall_us,
             cells,
             pool: timing.pool.clone(),
@@ -654,7 +604,7 @@ impl Engine {
             out.push_str(&format!(
                 "  {:>9.1}ms  {}\n",
                 t.wall.as_secs_f64() * 1e3,
-                t.spec
+                t.spec.canonical()
             ));
         }
         out
@@ -670,11 +620,7 @@ impl Engine {
             if line.trim().is_empty() {
                 continue;
             }
-            let injected = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.corrupt_cache_read(index));
-            match (!injected).then(|| parse_cache_line(line)).flatten() {
+            match parse_cache_line(line) {
                 Some((spec, output)) => {
                     self.disk.lock().unwrap().insert(spec.clone());
                     self.cells.seed(spec, output);
@@ -714,9 +660,6 @@ impl Engine {
         let Some(dir) = &self.cache_dir else {
             return Ok(());
         };
-        if let Some(err) = self.faults.as_ref().and_then(|f| f.fail_cache_write()) {
-            return Err(err);
-        }
         std::fs::create_dir_all(dir)?;
         // One output at a time: cloning every output, or rendering the
         // whole file into one string, would set the run's peak memory.

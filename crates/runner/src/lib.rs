@@ -30,7 +30,6 @@
 
 pub mod cell;
 pub mod engine;
-pub mod fault;
 pub mod memo;
 pub mod metrics;
 pub mod persist;
@@ -38,7 +37,6 @@ pub mod pool;
 
 pub use cell::{fnv1a, CellKey, CellOutput, CellSpec, SharedInputs};
 pub use engine::{Engine, EngineOptions, CACHE_FILE};
-pub use fault::{FaultPlan, FaultSite, INJECTED_PANIC};
 pub use memo::Memo;
 pub use metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 pub use pool::PoolStats;

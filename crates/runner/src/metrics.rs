@@ -92,9 +92,6 @@ pub struct RunMetrics {
     pub corrupt_lines: u64,
     /// Cache files quarantined because they contained corrupt lines.
     pub quarantined_files: u64,
-    /// Faults injected by the active [`FaultPlan`](crate::FaultPlan)
-    /// (0 without a plan).
-    pub faults_injected: u64,
     /// Summed wall time of computed cells, µs.
     pub compute_wall_us: u64,
     /// Per-request reports, slowest first.
@@ -154,7 +151,6 @@ impl RunMetrics {
             ("cells_loaded", self.cells_loaded.into()),
             ("corrupt_lines", self.corrupt_lines.into()),
             ("quarantined_files", self.quarantined_files.into()),
-            ("faults_injected", self.faults_injected.into()),
             ("hit_rate", self.hit_rate().into()),
             ("compute_wall_us", self.compute_wall_us.into()),
             (
@@ -220,7 +216,6 @@ mod tests {
             cells_loaded: 1,
             corrupt_lines: 0,
             quarantined_files: 0,
-            faults_injected: 0,
             compute_wall_us: 1500,
             cells: vec![CellReport {
                 key: "00ff".into(),
@@ -278,7 +273,6 @@ mod tests {
             cells_loaded: 0,
             corrupt_lines: 0,
             quarantined_files: 0,
-            faults_injected: 0,
             compute_wall_us: 0,
             cells: Vec::new(),
             pool: PoolReport::default(),

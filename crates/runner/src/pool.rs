@@ -82,8 +82,8 @@ pub fn run_batch<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>) -> PoolStats 
 
 /// [`run_batch`] with per-job panic isolation: a panicking job is caught,
 /// counted in [`PoolStats::panicked`], and the batch keeps running — no job
-/// is dropped and the worker survives. This is the supervision mode the
-/// serve daemon uses under an active fault plan.
+/// is dropped and the worker survives. This is how
+/// [`Engine::prefetch_isolated`](crate::Engine::prefetch_isolated) runs.
 pub fn run_batch_catching<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>) -> PoolStats {
     run_batch_inner(workers, jobs, true)
 }

@@ -47,7 +47,6 @@ impl TempDir {
         Engine::new(EngineOptions {
             workers: 1,
             cache_dir: Some(self.0.clone()),
-            faults: None,
         })
     }
 

@@ -1,15 +1,16 @@
 //! Supervision-layer guarantees of the runner primitives: the memo's
-//! panic-unpoisoning protocol under concurrent waiters, cache quarantine of
-//! corrupt files, and deterministic fault injection through the engine.
+//! panic-unpoisoning protocol under concurrent waiters, panic isolation in
+//! `prefetch_isolated`, cache quarantine of corrupt files, and cache-write
+//! errors surfacing as values.
 
+use ci_core::PipelineConfig;
 use ci_runner::engine::parse_cache_line;
-use ci_runner::fault::FaultSite;
-use ci_runner::{CellSpec, Engine, EngineOptions, FaultPlan, Memo, CACHE_FILE, INJECTED_PANIC};
+use ci_runner::{CellSpec, Engine, EngineOptions, Memo, CACHE_FILE};
 use ci_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Duration;
 
 struct TempDir(PathBuf);
@@ -122,60 +123,44 @@ fn every_waiter_observes_a_persistent_failure() {
     assert_eq!((v, computed), (11, true), "the key must recover");
 }
 
-/// An injected compute panic escapes `Engine::cell` exactly as many times
-/// as the plan's budget, then the same spec computes normally — and the
-/// result is byte-identical to a fault-free engine's.
-#[test]
-fn engine_recovers_from_injected_compute_panics() {
-    let plan = Arc::new(FaultPlan::new(5).with_panics(1, 2)); // every cell, twice
-    let eng = Engine::new(EngineOptions {
-        workers: 1,
-        cache_dir: None,
-        faults: Some(Arc::clone(&plan)),
-    });
-    let spec = tiny_spec(1);
-    let mut panics = 0;
-    let out = loop {
-        match catch_unwind(AssertUnwindSafe(|| eng.cell(&spec))) {
-            Ok(out) => break out,
-            Err(p) => {
-                let msg = p.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.starts_with(INJECTED_PANIC), "unexpected panic: {msg}");
-                panics += 1;
-            }
-        }
-    };
-    assert_eq!(panics, 2, "the plan budget is exact");
-    assert_eq!(eng.faults_injected(), 2);
-    assert_eq!(
-        out,
-        Engine::serial().cell(&spec),
-        "recovery changes nothing"
-    );
+/// A detailed cell the core rejects when it builds the pipeline: a
+/// reorder-buffer segment of size zero.
+fn panicking_cell() -> CellSpec {
+    CellSpec::Detailed {
+        workload: Workload::CompressLike,
+        config: PipelineConfig {
+            segment: 0,
+            ..PipelineConfig::default()
+        },
+        instructions: 400,
+        seed: 0,
+    }
 }
 
-/// `prefetch_isolated` completes a batch in which some cells panic: the
-/// panics are counted, every other cell lands in the memo, and the
-/// panicked cells succeed on a supervised retry.
+/// `prefetch_isolated` completes a batch in which one cell panics: the
+/// panic is counted, every other cell lands in the memo with the serial
+/// engine's output, and the panicked cell's key is unpoisoned, so asking
+/// for it again panics again instead of hanging.
 #[test]
-fn prefetch_isolated_contains_injected_panics() {
-    let plan = Arc::new(FaultPlan::new(9).with_panics(2, 1));
-    let eng = Engine::new(EngineOptions {
-        workers: 2,
-        cache_dir: None,
-        faults: Some(Arc::clone(&plan)),
+fn prefetch_isolated_contains_a_panicking_cell() {
+    let eng = Engine::with_workers(2);
+    let mut specs: Vec<CellSpec> = (0..6).map(tiny_spec).collect();
+    specs.insert(3, panicking_cell());
+    specs.push(CellSpec::Detailed {
+        workload: Workload::GoLike,
+        config: PipelineConfig::ci(64),
+        instructions: 400,
+        seed: 0,
     });
-    let specs: Vec<CellSpec> = (0..12).map(tiny_spec).collect();
     let stats = eng.prefetch_isolated(&specs);
-    assert_eq!(stats.jobs, 12);
-    assert!(stats.panicked > 0, "rate 2 over 12 cells must hit some");
-    assert_eq!(stats.panicked, eng.faults_injected());
-    // Every cell — including the panicked ones, whose budget is now spent —
-    // resolves identically to a clean serial engine.
+    assert_eq!(stats.jobs, specs.len());
+    assert_eq!(stats.panicked, 1);
     let reference = Engine::serial();
-    for spec in &specs {
+    for spec in specs.iter().filter(|&s| *s != panicking_cell()) {
         assert_eq!(eng.cell(spec), reference.cell(spec));
     }
+    let again = catch_unwind(AssertUnwindSafe(|| eng.cell(&panicking_cell())));
+    assert!(again.is_err(), "the bad cell must panic again, not hang");
 }
 
 /// Satellite: a cache file with corrupt lines is quarantined with a reason
@@ -190,7 +175,6 @@ fn corrupt_cache_file_is_quarantined_with_reason() {
         let eng = Engine::new(EngineOptions {
             workers: 1,
             cache_dir: Some(tmp.0.clone()),
-            faults: None,
         });
         let _ = eng.cell(&spec);
         eng.save_cache().unwrap();
@@ -206,7 +190,6 @@ fn corrupt_cache_file_is_quarantined_with_reason() {
     let eng = Engine::new(EngineOptions {
         workers: 1,
         cache_dir: Some(tmp.0.clone()),
-        faults: None,
     });
     // The valid cell loaded; the corrupt lines were counted.
     assert_eq!(eng.cells_loaded(), 1);
@@ -239,100 +222,29 @@ fn corrupt_cache_file_is_quarantined_with_reason() {
     let eng2 = Engine::new(EngineOptions {
         workers: 1,
         cache_dir: Some(tmp.0.clone()),
-        faults: None,
     });
     assert_eq!(eng2.cells_loaded(), 1);
     assert_eq!(eng2.corrupt_lines(), 0);
     assert!(eng2.quarantined_files().is_empty());
 }
 
-/// Injected cache-read corruption exercises the same quarantine path, and
-/// the engine recomputes the affected cells bit-identically.
+/// A cache directory that cannot be created (the path is a regular file)
+/// makes `save_cache` return the I/O error instead of panicking.
 #[test]
-fn injected_cache_read_faults_trigger_quarantine_and_recompute() {
-    let tmp = TempDir::new("readfault");
-    let specs: Vec<CellSpec> = (0..6).map(tiny_spec).collect();
-    {
-        let eng = Engine::new(EngineOptions {
-            workers: 1,
-            cache_dir: Some(tmp.0.clone()),
-            faults: None,
-        });
-        for s in &specs {
-            let _ = eng.cell(s);
-        }
-        eng.save_cache().unwrap();
-    }
-    let plan = Arc::new(FaultPlan::new(11).with_cache_read_faults(2, 1));
+fn cache_write_errors_are_returned() {
+    let tmp = TempDir::new("writeerror");
+    let not_a_dir = tmp.0.join("cells-dir");
+    std::fs::write(&not_a_dir, "a regular file").unwrap();
     let eng = Engine::new(EngineOptions {
         workers: 1,
-        cache_dir: Some(tmp.0.clone()),
-        faults: Some(Arc::clone(&plan)),
-    });
-    let injected = eng.faults_injected();
-    assert!(injected > 0, "rate 2 over 6 lines must hit some");
-    assert_eq!(eng.corrupt_lines(), injected);
-    assert_eq!(eng.cells_loaded(), 6 - injected);
-    assert_eq!(eng.quarantined_files().len(), 1);
-    let reference = Engine::serial();
-    for s in &specs {
-        assert_eq!(eng.cell(s), reference.cell(s), "recompute is identical");
-    }
-}
-
-/// An injected cache-write error surfaces as a real `save_cache` error with
-/// the fault marker, and the retry (budget spent) succeeds.
-#[test]
-fn injected_cache_write_faults_are_transient() {
-    let tmp = TempDir::new("writefault");
-    let plan = Arc::new(FaultPlan::new(13).with_cache_write_faults(1, 1));
-    let eng = Engine::new(EngineOptions {
-        workers: 1,
-        cache_dir: Some(tmp.0.clone()),
-        faults: Some(plan),
+        cache_dir: Some(not_a_dir.clone()),
     });
     let _ = eng.cell(&tiny_spec(0));
-    let err = eng.save_cache().expect_err("first save must fail");
-    assert!(err.to_string().starts_with(INJECTED_PANIC));
-    eng.save_cache().expect("retry succeeds");
-    assert!(tmp.0.join(CACHE_FILE).exists());
-}
-
-/// The same plan seed injects the same faults at the same points across
-/// runs — the property the soak test's reproducibility rests on.
-#[test]
-fn fault_injection_is_reproducible_across_runs() {
-    let run = || {
-        let plan = Arc::new(FaultPlan::new(0xDEAD).with_panics(3, 1).with_latency(
-            4,
-            1,
-            Duration::from_micros(50),
-        ));
-        let eng = Engine::new(EngineOptions {
-            workers: 1,
-            cache_dir: None,
-            faults: Some(Arc::clone(&plan)),
-        });
-        let mut trace = Vec::new();
-        for i in 0..16 {
-            let spec = tiny_spec(i);
-            let panicked = catch_unwind(AssertUnwindSafe(|| eng.cell(&spec))).is_err();
-            trace.push((i, panicked));
-        }
-        (trace, plan.injected_by_site())
-    };
-    let (trace_a, counts_a) = run();
-    let (trace_b, counts_b) = run();
-    assert_eq!(trace_a, trace_b, "same seed, same injection points");
-    assert_eq!(counts_a, counts_b);
-    assert!(trace_a.iter().any(|&(_, p)| p), "some cell must panic");
-    assert!(
-        counts_a
-            .iter()
-            .find(|(n, _)| *n == FaultSite::ComputeLatency.name())
-            .unwrap()
-            .1
-            > 0,
-        "latency site must fire too"
+    eng.save_cache()
+        .expect_err("a file in place of the cache directory must fail the save");
+    assert_eq!(
+        std::fs::read_to_string(&not_a_dir).unwrap(),
+        "a regular file",
+        "the file in the way is left alone"
     );
 }

@@ -3,8 +3,9 @@
 //! Each function runs the necessary simulations at a caller-chosen
 //! [`Scale`] and returns a [`Table`] whose rows mirror the paper's
 //! presentation, so output can be compared side by side with the original
-//! (see `EXPERIMENTS.md` at the workspace root). The regeneration binaries
-//! in `crates/bench/src/bin/` are thin wrappers over these functions.
+//! (see `EXPERIMENTS.md` at the workspace root). [`tables`] maps the names
+//! the `repro` binary takes (`table1`, `fig5`, ..., `all`) to these
+//! functions.
 //!
 //! # Cells and the engine
 //!
@@ -870,63 +871,49 @@ pub fn all_experiment_cells(scale: &Scale) -> Vec<CellSpec> {
     cells
 }
 
-/// Every table/figure name accepted by [`request_cells`], in publication
-/// order, plus the `"all"` union. These are the request names understood by
-/// the `ci-serve` daemon's `table` requests.
-pub const REQUEST_NAMES: [&str; 17] = [
+/// Every name [`tables`] accepts: each table or figure in publication
+/// order, then `"all"` for the full evaluation.
+pub const NAMES: [&str; 15] = [
     "table1",
-    "figure3",
-    "figure5_6",
+    "fig3",
+    "fig5",
     "table2",
     "table3",
     "table4",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure17",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig17",
     "distributions",
     "all",
-    "smoke",
-    "explore_smoke",
 ];
 
-/// The cells behind a named table or figure, for callers (like the
-/// `ci-serve` daemon) that address experiments by name rather than by
-/// builder function. Returns `None` for unknown names; see
-/// [`REQUEST_NAMES`] for the accepted set. `"smoke"` is a deliberately tiny
-/// single-cell request for health checks and load generation.
+/// The tables a name in [`NAMES`] regenerates, in print order (`"fig5"` is
+/// Figures 5 and 6, `"all"` is [`run_all`]); `None` for an unknown name.
 #[must_use]
-pub fn request_cells(name: &str, scale: &Scale) -> Option<Vec<CellSpec>> {
+pub fn tables(name: &str, eng: &Engine, scale: &Scale) -> Option<Vec<Table>> {
     Some(match name {
-        "table1" => table1_cells(scale),
-        "figure3" => figure3_cells(scale, &FIGURE3_WINDOWS),
-        "figure5_6" => figure5_6_cells(scale, &FIGURE5_WINDOWS),
-        "table2" => table2_cells(scale),
-        "table3" => table3_cells(scale),
-        "table4" => table4_cells(scale),
-        "figure8" => figure8_cells(scale),
-        "figure9" => figure9_cells(scale),
-        "figure10" => figure10_cells(scale),
-        "figure12" => figure12_cells(scale),
-        "figure13" => figure13_cells(scale),
-        "figure14" => figure14_cells(scale),
-        "figure17" => figure17_cells(scale),
-        "distributions" => distributions_cells(scale),
-        "all" => all_experiment_cells(scale),
-        "smoke" => vec![CellSpec::Study {
-            workload: Workload::CompressLike,
-            instructions: scale.instructions.min(2_000),
-            seed: scale.seed,
-        }],
-        // The explorer's smoke grid (3 windows × 3 widths × BASE/CI),
-        // capped at 10k instructions — the same grid the golden test and
-        // the CI `explore` job run.
-        "explore_smoke" => ci_explore::Sweep::parse("smoke-grid")
-            .expect("smoke-grid preset must parse")
-            .expand(scale.instructions.min(10_000), scale.seed),
+        "table1" => vec![table1(eng, scale)],
+        "fig3" => vec![figure3(eng, scale, &FIGURE3_WINDOWS)],
+        "fig5" => {
+            let (ipc, improvement) = figure5_6(eng, scale, &FIGURE5_WINDOWS);
+            vec![ipc, improvement]
+        }
+        "table2" => vec![table2(eng, scale)],
+        "table3" => vec![table3(eng, scale)],
+        "table4" => vec![table4(eng, scale)],
+        "fig8" => vec![figure8(eng, scale)],
+        "fig9" => vec![figure9(eng, scale)],
+        "fig10" => vec![figure10(eng, scale)],
+        "fig12" => vec![figure12(eng, scale)],
+        "fig13" => vec![figure13(eng, scale)],
+        "fig14" => vec![figure14(eng, scale)],
+        "fig17" => vec![figure17(eng, scale)],
+        "distributions" => vec![distributions(eng, scale)],
+        "all" => run_all(eng, scale),
         _ => return None,
     })
 }
@@ -939,24 +926,11 @@ pub fn request_cells(name: &str, scale: &Scale) -> Option<Vec<CellSpec>> {
 #[must_use]
 pub fn run_all(eng: &Engine, scale: &Scale) -> Vec<Table> {
     eng.prefetch(&all_experiment_cells(scale));
-    let (fig5, fig6) = figure5_6(eng, scale, &FIGURE5_WINDOWS);
-    vec![
-        table1(eng, scale),
-        figure3(eng, scale, &FIGURE3_WINDOWS),
-        fig5,
-        fig6,
-        table2(eng, scale),
-        table3(eng, scale),
-        table4(eng, scale),
-        figure8(eng, scale),
-        figure9(eng, scale),
-        figure10(eng, scale),
-        figure12(eng, scale),
-        figure13(eng, scale),
-        figure14(eng, scale),
-        figure17(eng, scale),
-        distributions(eng, scale),
-    ]
+    NAMES
+        .iter()
+        .filter(|&&name| name != "all")
+        .flat_map(|name| tables(name, eng, scale).expect("every listed name resolves"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1028,18 +1002,24 @@ mod tests {
     }
 
     #[test]
-    fn request_cells_covers_every_name() {
+    fn every_name_resolves_and_all_is_the_names_in_order() {
+        let eng = Engine::serial();
         let scale = tiny();
-        for name in REQUEST_NAMES {
-            let cells = request_cells(name, &scale)
-                .unwrap_or_else(|| panic!("{name} must resolve to cells"));
-            assert!(!cells.is_empty(), "{name} resolved to an empty cell list");
+        let rendered = |t: &[Table]| -> Vec<(String, String)> {
+            t.iter().map(|t| (t.render(), t.to_jsonl())).collect()
+        };
+        let mut concatenated = Vec::new();
+        for name in &NAMES[..NAMES.len() - 1] {
+            let t = tables(name, &eng, &scale)
+                .unwrap_or_else(|| panic!("{name} must resolve to tables"));
+            assert!(!t.is_empty(), "{name} resolved to no tables");
+            concatenated.extend(rendered(&t));
         }
-        assert!(request_cells("table9", &scale).is_none());
-        assert_eq!(
-            request_cells("all", &scale).unwrap(),
-            all_experiment_cells(&scale)
-        );
+        assert!(tables("table9", &eng, &scale).is_none());
+        // A fresh engine: the one prefetched batch of `run_all` computes
+        // (and serves siblings) in another order than the per-name calls.
+        let all = tables("all", &Engine::serial(), &scale).expect("all resolves");
+        assert_eq!(rendered(&all), concatenated);
     }
 
     #[test]

@@ -18,7 +18,7 @@ const SCALE: Scale = Scale {
 };
 
 /// Concatenate every table's text rendering and JSONL export into the two
-/// byte streams an `all_experiments --json` run would produce.
+/// byte streams a `repro all --json` run would produce.
 fn render_suite(tables: &[Table]) -> (String, String) {
     let mut text = String::new();
     let mut jsonl = String::new();
