@@ -11,7 +11,7 @@
 //! cargo run --release -p ci-bench --bin inspect -- go 30000 --json go.jsonl
 //! ```
 
-use ci_bench::cli::Cli;
+use ci_bench::cli::{Cli, SHARED_FLAGS};
 use control_independence::ci_cfg::{Cfg, PostDominators, ReconvergenceMap};
 use control_independence::prelude::*;
 
@@ -19,26 +19,24 @@ const SEED: u64 = 0x5EED;
 
 fn main() {
     let mut cli = Cli::from_args("inspect");
-    let args = &mut cli.rest;
     // --timeline <first>:<last> (0-based retired-instruction indices).
-    let mut timeline_range: Option<(u64, u64)> = None;
-    if let Some(i) = args.iter().position(|a| a == "--timeline") {
-        let Some(spec) = args.get(i + 1) else {
-            eprintln!("--timeline requires a <first>:<last> range");
-            std::process::exit(2);
-        };
+    let timeline_range = cli.take_flag("--timeline").map(|spec| {
         let parts: Vec<&str> = spec.splitn(2, ':').collect();
         let parsed = match parts.as_slice() {
             [a, b] => a.parse().ok().zip(b.parse().ok()),
             _ => None,
         };
-        let Some((first, last)) = parsed else {
+        parsed.unwrap_or_else(|| {
             eprintln!("cannot parse --timeline range `{spec}` (want e.g. 100:180)");
             std::process::exit(2);
-        };
-        timeline_range = Some((first, last));
-        args.drain(i..=i + 1);
-    }
+        })
+    });
+    let args = cli.positionals(
+        2,
+        &format!(
+            "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] {SHARED_FLAGS}"
+        ),
+    );
     let name = args.first().cloned().unwrap_or_else(|| "go".to_owned());
     let instructions: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30_000);
     let Some(workload) = Workload::ALL.into_iter().find(|w| w.name() == name) else {

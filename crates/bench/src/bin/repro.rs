@@ -10,21 +10,18 @@
 //! tables serially from the memo, so stdout and the `--json` export are
 //! byte-identical for every worker count.
 
-use ci_bench::cli::Cli;
+use ci_bench::cli::{usage_error, Cli, SHARED_FLAGS};
 use control_independence::experiments as ex;
 
 fn main() {
     let mut cli = Cli::from_args("repro");
-    let name = match cli.rest.as_slice() {
+    let usage = format!(
+        "usage: repro <name> {SHARED_FLAGS}\nnames: {}",
+        ex::NAMES.join(" ")
+    );
+    let name = match cli.positionals(1, &usage) {
         [name] if ex::NAMES.contains(&name.as_str()) => name.clone(),
-        _ => {
-            eprintln!(
-                "usage: repro <name> [--json PATH] [--workers N] [--cache-dir DIR] \
-                 [--timing PATH] [--metrics PATH]\nnames: {}",
-                ex::NAMES.join(" ")
-            );
-            std::process::exit(2);
-        }
+        _ => usage_error(&usage),
     };
     let scale = ex::Scale::from_env_or_exit();
     if name == "all" {

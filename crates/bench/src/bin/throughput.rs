@@ -24,7 +24,7 @@
 //! re-blessing it away. MIPS still varies with the host, which is what the
 //! tolerance absorbs — percent-level drift belongs to the Criterion bench.
 
-use ci_bench::cli::Cli;
+use ci_bench::cli::{Cli, SHARED_FLAGS};
 use control_independence::ci_obs::{json, JsonValue};
 use control_independence::experiments::Scale;
 use control_independence::prelude::*;
@@ -50,19 +50,8 @@ struct Sample {
 fn main() {
     let mut cli = Cli::from_args("throughput");
     let scale = Scale::from_env_or_exit();
-    let args = &mut cli.rest;
-
-    fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} requires an argument");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    }
-    let reps: u32 = flag_value(args, "--reps")
+    let reps: u32 = cli
+        .take_flag("--reps")
         .map(|v| {
             v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
                 eprintln!("--reps must be a positive integer, got `{v}`");
@@ -70,7 +59,8 @@ fn main() {
             })
         })
         .unwrap_or(1);
-    let tolerance: f64 = flag_value(args, "--tolerance")
+    let tolerance: f64 = cli
+        .take_flag("--tolerance")
         .map(|v| {
             v.parse()
                 .ok()
@@ -81,7 +71,11 @@ fn main() {
                 })
         })
         .unwrap_or(10.0);
-    let baseline_path = flag_value(args, "--baseline");
+    let baseline_path = cli.take_flag("--baseline");
+    cli.positionals(
+        0,
+        &format!("usage: throughput [--reps N] [--tolerance PCT] [--baseline PATH] {SHARED_FLAGS}"),
+    );
 
     let instructions = scale.instructions;
     println!(

@@ -92,6 +92,16 @@ pub mod cli {
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     }
 
+    /// The shared flags, as they appear on every binary's usage line.
+    pub const SHARED_FLAGS: &str =
+        "[--json PATH] [--workers N] [--cache-dir DIR] [--timing PATH] [--metrics PATH]";
+
+    /// Print `usage` on stderr and exit 2.
+    pub fn usage_error(usage: &str) -> ! {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    }
+
     /// Parsed shared flags: the table [`Emitter`], the cell [`Engine`], and
     /// the remaining positional arguments.
     pub struct Cli {
@@ -149,6 +159,37 @@ pub mod cli {
                 metrics,
                 label,
             }
+        }
+
+        /// Take one of the binary's own `flag <value>` pairs out of
+        /// [`Cli::rest`] and return the value. Exits 2 when the flag has no
+        /// value.
+        pub fn take_flag(&mut self, flag: &str) -> Option<String> {
+            let i = self.rest.iter().position(|a| a == flag)?;
+            if i + 1 >= self.rest.len() {
+                eprintln!("{flag} requires an argument");
+                std::process::exit(2);
+            }
+            let value = self.rest.remove(i + 1);
+            self.rest.remove(i);
+            Some(value)
+        }
+
+        /// The positional arguments, once the binary has taken its own
+        /// flags out of [`Cli::rest`]. A leftover flag or a positional past
+        /// the first `max` is a usage error: it is named on stderr with the
+        /// `usage` line, and the process exits 2.
+        pub fn positionals(&self, max: usize, usage: &str) -> &[String] {
+            let stray = self
+                .rest
+                .iter()
+                .find(|a| a.starts_with('-'))
+                .or_else(|| self.rest.get(max));
+            if let Some(arg) = stray {
+                eprintln!("unexpected argument `{arg}`");
+                usage_error(usage);
+            }
+            &self.rest
         }
 
         /// Print `table` (and stage its JSON export).

@@ -1,7 +1,7 @@
-//! End-to-end checks of the `repro` command line: `repro table1 --json`
-//! writes JSON lines that parse with the crate's own parser and match the
-//! text table on stdout, and malformed command lines exit 2 with a usage
-//! line instead of running.
+//! End-to-end checks of the experiment binaries' command lines:
+//! `repro table1 --json` writes JSON lines that parse with the crate's own
+//! parser and match the text table on stdout, and malformed command lines
+//! exit 2 with a usage line instead of running.
 
 use ci_obs::json::{parse, JsonValue};
 use std::process::Command;
@@ -100,5 +100,42 @@ fn malformed_command_lines_print_usage_and_exit_2() {
         );
         assert!(output.stdout.is_empty(), "{args:?} printed a table");
         assert!(!out_path.exists(), "{args:?} wrote {out}");
+    }
+}
+
+/// Once `inspect`, `profile` and `throughput` have taken their own flags,
+/// a leftover flag or a surplus positional exits 2 with the binary's usage
+/// line before anything is printed.
+#[test]
+fn stray_arguments_print_usage_and_exit_2() {
+    let cases: [(&str, &[&str]); 4] = [
+        (
+            env!("CARGO_BIN_EXE_inspect"),
+            &["compress", "2000", "--jsno", "x"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_inspect"),
+            &["compress", "2000", "extra"],
+        ),
+        (env!("CARGO_BIN_EXE_profile"), &["go", "--bogus"]),
+        (env!("CARGO_BIN_EXE_throughput"), &["--bogus"]),
+    ];
+    for (bin, args) in cases {
+        let output = Command::new(bin)
+            .args(args)
+            .env("CI_REPRO_INSTRUCTIONS", "2000")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let name = std::path::Path::new(bin)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("binary name");
+        assert_eq!(output.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {name} ")),
+            "{name} {args:?}: no usage line: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{name} {args:?} printed output");
     }
 }

@@ -12,10 +12,14 @@
 //!    reconvergence strategies, completion models, repredict modes, cache
 //!    models, predictor sizes).
 //! 2. **Lockstep** — run the detailed pipeline (BASE, CI and CI-I variants)
-//!    with the oracle checker armed and a [`ci_obs::FlightRecorder`]
-//!    attached; independently compare the retired PC stream against the
-//!    emulator trace, and the six idealized models of Section 2 against
-//!    their paper-mandated dominance relations.
+//!    with the oracle checker armed, recording only the retired PC stream
+//!    and coverage; independently compare the retired PC stream against
+//!    the emulator trace, and the six idealized models of Section 2 against
+//!    their paper-mandated dominance relations. A machine that fails a
+//!    check is replayed once with a [`ci_obs::FlightRecorder`] as its only
+//!    probe: the pipeline is deterministic and a probe only observes, so
+//!    the replay fails the same way and yields the transcript of its final
+//!    cycles.
 //! 3. **Check invariants** — bit-exact retirement, `retired == emulated`,
 //!    counter sanity, and the cross-model cycle orderings
 //!    (oracle fastest, base slowest among CI models, `FD` never beats

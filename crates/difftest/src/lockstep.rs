@@ -1,22 +1,23 @@
 //! Lockstep execution of one detailed-pipeline configuration against the
-//! functional emulator, with panic capture and retirement-stream logging.
+//! functional emulator, with panic capture and retirement-stream logging,
+//! and the flight-recorded replay that explains a failing run.
 
 use ci_core::{ArchRef, Pipeline, PipelineConfig, Stats};
 use ci_emu::Trace;
 use ci_isa::Program;
 use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, NoopProfiler, Probe};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Probe used by every lockstep run: a bounded flight recorder (for failure
-/// transcripts), an independent log of retired PCs (so the harness
-/// re-verifies the retirement stream itself instead of trusting the
-/// pipeline's internal checker alone), and a coverage recorder feeding the
-/// corpus-guided fuzzer's novelty signal.
+/// Probe used by every lockstep run: an independent log of retired PCs (so
+/// the harness re-verifies the retirement stream itself instead of trusting
+/// the pipeline's internal checker alone) and a coverage recorder feeding
+/// the corpus-guided fuzzer's novelty signal. It keeps no flight recorder:
+/// only a failing run needs a transcript, and [`replay_flight`] produces it.
 #[derive(Debug, Default)]
-pub(crate) struct DiffProbe {
-    pub flight: FlightRecorder,
-    pub retired_pcs: Vec<u32>,
-    pub coverage: CoverageRecorder,
+struct DiffProbe {
+    retired_pcs: Vec<u32>,
+    coverage: CoverageRecorder,
 }
 
 impl DiffProbe {
@@ -35,15 +36,12 @@ impl Probe for DiffProbe {
             self.retired_pcs.push(pc);
         }
         self.coverage.record(cycle, event);
-        self.flight.record(cycle, event);
-    }
-
-    fn dump(&self) -> Option<String> {
-        self.flight.dump()
     }
 }
 
-/// Outcome of one detailed-pipeline run under a lockstep check.
+/// Outcome of one detailed-pipeline run under a lockstep check: what the
+/// harness checks (statistics, retired PC stream, panic) and the coverage
+/// it feeds the fuzzer, but no flight-recorder transcript.
 #[derive(Debug)]
 pub struct LockstepRun {
     /// Statistics, when the run completed without panicking.
@@ -51,10 +49,10 @@ pub struct LockstepRun {
     /// Retired PC stream observed through the probe.
     pub retired_pcs: Vec<u32>,
     /// Panic message, when the run died (oracle-checker divergence, forward
-    /// progress failure, or any internal invariant violation).
+    /// progress failure, or any internal invariant violation). The run kept
+    /// no flight recorder, so the message carries no transcript of the final
+    /// cycles; the harness replays a failing machine with one.
     pub panic: Option<String>,
-    /// Flight-recorder transcript (the machine's final cycles).
-    pub flight: String,
     /// Coverage signature observed through the probe (empty when the run
     /// panicked — the probe dies with the unwound pipeline).
     pub coverage: CoverageSignature,
@@ -98,7 +96,9 @@ impl LockstepRun {
 /// panics (the built-in oracle checker panics on divergence) instead of
 /// aborting the fuzzing process. `corrupt` optionally poisons one
 /// architectural-reference entry before the run — the test hook used to
-/// exercise the failure and shrinking paths on demand.
+/// exercise the failure and shrinking paths on demand. The run records
+/// retired PCs and coverage only; the harness takes a failing run's
+/// transcript from a flight-recorded replay of it.
 ///
 /// # Panics
 /// Panics if the program's correct path leaves the program.
@@ -126,46 +126,71 @@ pub fn run_locked_salted(
     corrupt: Option<usize>,
     salt: u64,
 ) -> LockstepRun {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut p = Pipeline::new(reference, config, DiffProbe::with_salt(salt), NoopProfiler);
-        if let Some(idx) = corrupt {
-            p.corrupt_oracle_entry(idx);
-        }
-        let stats = p.run();
-        let probe = p.into_probe();
-        (stats, probe)
-    }));
-    match result {
+    match run_caught(reference, config, corrupt, DiffProbe::with_salt(salt)) {
         Ok((stats, probe)) => LockstepRun {
             stats: Some(stats),
             retired_pcs: probe.retired_pcs,
             panic: None,
-            flight: probe.flight.render(),
             max_restart_depth: probe.coverage.max_depth(),
             coverage: probe.coverage.into_signature(),
         },
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            LockstepRun {
-                stats: None,
-                retired_pcs: Vec::new(),
-                panic: Some(msg),
-                flight: String::new(),
-                coverage: CoverageSignature::new(),
-                max_restart_depth: 0,
-            }
-        }
+        Err(msg) => LockstepRun {
+            stats: None,
+            retired_pcs: Vec::new(),
+            panic: Some(msg),
+            coverage: CoverageSignature::new(),
+            max_restart_depth: 0,
+        },
     }
+}
+
+/// Replay one lockstep run with a [`FlightRecorder`] as its only probe, to
+/// explain a run that failed a check. The pipeline is deterministic and a
+/// probe only observes, so over the same `reference`, `config` and
+/// `corrupt` index the replay retires the same stream and fails the same
+/// way as the run it repeats. Returns the rendered transcript of the final
+/// cycles when the replay completes, or its panic message when it dies (the
+/// oracle checker embeds the transcript in that message).
+pub(crate) fn replay_flight(
+    reference: &ArchRef,
+    config: PipelineConfig,
+    corrupt: Option<usize>,
+) -> Result<String, String> {
+    run_caught(reference, config, corrupt, FlightRecorder::new()).map(|(_, flight)| flight.render())
+}
+
+/// Run one pipeline to completion under `probe`, turning a panic into its
+/// message.
+fn run_caught<P: Probe>(
+    reference: &ArchRef,
+    config: PipelineConfig,
+    corrupt: Option<usize>,
+    probe: P,
+) -> Result<(Stats, P), String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut p = Pipeline::new(reference, config, probe, NoopProfiler);
+        if let Some(idx) = corrupt {
+            p.corrupt_oracle_entry(idx);
+        }
+        let stats = p.run();
+        (stats, p.into_probe())
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))
+}
+
+/// The message of a caught panic.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ci_core::PipelineConfig;
+    use ci_core::{simulate_probed, PipelineConfig};
     use ci_emu::run_trace;
     use ci_workloads::random_program;
 
@@ -188,5 +213,33 @@ mod tests {
             .panic
             .expect("corrupted reference must trip the checker");
         assert!(msg.contains("diverges from the emulator"), "{msg}");
+    }
+
+    #[test]
+    fn replay_reproduces_a_corrupted_run_with_its_transcript() {
+        crate::fuzz::silence_panics();
+        let p = random_program(11, 60);
+        let config = PipelineConfig::ci(64);
+        let run = run_locked(&p, config, 25_000, Some(3));
+        let msg = run.panic.expect("corrupted reference trips the checker");
+        let reference = ArchRef::build(p, 25_000).unwrap();
+        let replayed = replay_flight(&reference, config, Some(3))
+            .expect_err("the replay corrupts the same entry and fails the same way");
+        assert!(
+            replayed.contains("diverges from the emulator"),
+            "{replayed}"
+        );
+        assert!(replayed.contains("flight recorder:"), "{replayed}");
+        assert_eq!(replayed.lines().next(), msg.lines().next());
+    }
+
+    #[test]
+    fn replay_transcript_of_a_clean_run_is_the_flight_recorders() {
+        let p = random_program(11, 60);
+        let config = PipelineConfig::ci(64);
+        let (_, recorder) = simulate_probed(&p, config, 25_000, FlightRecorder::new()).unwrap();
+        let reference = ArchRef::build(p, 25_000).unwrap();
+        let transcript = replay_flight(&reference, config, None).expect("a clean run completes");
+        assert_eq!(transcript, recorder.render());
     }
 }

@@ -1,7 +1,7 @@
 //! One fuzz trial: generate, run every model in lockstep, check invariants.
 
 use crate::coverage::{trial_salts, TrialCoverage};
-use crate::lockstep::run_locked_salted;
+use crate::lockstep::{panic_message, replay_flight, run_locked_salted};
 use crate::spec::TrialSpec;
 use ci_core::{ArchRef, CacheModel, SquashMode, Stats};
 use ci_emu::EmuError;
@@ -64,8 +64,8 @@ pub struct Failure {
     pub model: String,
     /// Divergence report / panic message / violated inequality.
     pub detail: String,
-    /// Flight-recorder transcript of the failing run, when one exists
-    /// (panics embed theirs in `detail` already).
+    /// Flight-recorder transcript from the replay of the failing run, when
+    /// one exists (a panic's replay embeds its transcript in `detail`).
     pub flight: String,
 }
 
@@ -154,31 +154,41 @@ pub(crate) fn check_reference(
     for (machine, (name, config)) in spec.detailed_variants().into_iter().enumerate() {
         let run = run_locked_salted(&reference, config, None, salts[machine]);
         coverage.absorb(salts[machine], &run.coverage, run.max_restart_depth);
-        if let Some(msg) = &run.panic {
+        let first = failures.len();
+        let mut fail = |kind, detail| {
             failures.push(Failure {
-                kind: FailureKind::Panic,
+                kind,
                 model: name.to_owned(),
-                detail: msg.clone(),
+                detail,
                 flight: String::new(),
             });
+        };
+        if let Some(msg) = run.panic {
+            fail(FailureKind::Panic, msg);
+        } else {
+            if let Some(report) = run.divergence(trace) {
+                fail(FailureKind::Divergence, report);
+            }
+            let stats = run.stats.as_ref().expect("non-panicked run has stats");
+            if let Some(report) = stats_sanity(stats, &config, trace.len() as u64) {
+                fail(FailureKind::StatsSanity, report);
+            }
+        }
+        if failures.len() == first {
             continue;
         }
-        if let Some(report) = run.divergence(trace) {
-            failures.push(Failure {
-                kind: FailureKind::Divergence,
-                model: name.to_owned(),
-                detail: report,
-                flight: run.flight.clone(),
-            });
-        }
-        let stats = run.stats.as_ref().expect("non-panicked run has stats");
-        if let Some(report) = stats_sanity(stats, &config, trace.len() as u64) {
-            failures.push(Failure {
-                kind: FailureKind::StatsSanity,
-                model: name.to_owned(),
-                detail: report,
-                flight: run.flight.clone(),
-            });
+        // The lockstep run kept no transcript. Replay the failing machine
+        // with a flight recorder: it fails the same way, and its panic
+        // message (which embeds the final cycles) or its transcript goes
+        // into the failure.
+        let replay = replay_flight(&reference, config, None);
+        for f in &mut failures[first..] {
+            match (&replay, f.kind) {
+                (Err(msg), FailureKind::Panic) => f.detail.clone_from(msg),
+                (Ok(transcript), _) => f.flight.clone_from(transcript),
+                // Unreachable: the replay panics exactly when the run did.
+                (Err(_), _) => {}
+            }
         }
     }
 
@@ -297,15 +307,10 @@ fn ideal_invariants(reference: &ArchRef, spec: &TrialSpec) -> Vec<Failure> {
     let results = match run {
         Ok(r) => r,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
             failures.push(Failure {
                 kind: FailureKind::Panic,
                 model: "ideal".to_owned(),
-                detail: msg,
+                detail: panic_message(payload.as_ref()),
                 flight: String::new(),
             });
             return failures;
