@@ -3,17 +3,25 @@
 //! post-mortem: event-distribution histograms, a stage-occupancy summary
 //! (which pipeline stages made progress each cycle), plus a per-cycle
 //! pipeline occupancy timeline for a chosen range of retired instructions.
+//! Last comes the span tree of an unprobed CI run: the simulator's own host
+//! time by stage, with an optional Chrome `trace_event` export loadable in
+//! `chrome://tracing` / Perfetto.
 //!
 //! ```sh
 //! cargo run --release -p ci-bench --bin inspect -- go
 //! cargo run --release -p ci-bench --bin inspect -- compress 50000
 //! cargo run --release -p ci-bench --bin inspect -- go 30000 --timeline 100:180
 //! cargo run --release -p ci-bench --bin inspect -- go 30000 --json go.jsonl
+//! cargo run --release -p ci-bench --bin inspect -- go --trace go_trace.json
 //! ```
+//!
+//! Host times go to stdout and the trace only: the `--json` export holds
+//! the probed run's metrics, which are deterministic.
 
-use ci_bench::cli::{Cli, SHARED_FLAGS};
+use ci_bench::cli::{usage_error, Cli, SHARED_FLAGS};
 use control_independence::ci_cfg::{Cfg, PostDominators, ReconvergenceMap};
 use control_independence::prelude::*;
+use std::time::Instant;
 
 const SEED: u64 = 0x5EED;
 
@@ -31,14 +39,20 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let args = cli.positionals(
-        2,
-        &format!(
-            "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] {SHARED_FLAGS}"
-        ),
+    let trace_path = cli.take_flag("--trace");
+    let usage = format!(
+        "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] [--trace PATH] \
+         {SHARED_FLAGS}"
     );
+    let args = cli.positionals(2, &usage);
     let name = args.first().cloned().unwrap_or_else(|| "go".to_owned());
-    let instructions: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30_000);
+    let instructions: u64 = match args.get(1) {
+        None => 30_000,
+        Some(n) => n.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("the instruction count must be a positive integer, got `{n}`");
+            usage_error(&usage)
+        }),
+    };
     let Some(workload) = Workload::ALL.into_iter().find(|w| w.name() == name) else {
         eprintln!(
             "unknown workload `{name}`; choose one of: {}",
@@ -156,6 +170,34 @@ fn main() {
     println!("\n== CI pipeline timeline (retired instructions {first}..={last}) ==");
     let records = timeline.cycles_for_retired_range(first, last, 2);
     print!("{}", TimelineProbe::render(records, 256));
+
+    // Profile a separate, unprobed run: the probes above would inflate the
+    // host times.
+    let started = Instant::now();
+    let run = simulate_profiled(
+        &program,
+        PipelineConfig::ci(256),
+        instructions,
+        NoopProbe,
+        SpanProfiler::new(),
+    )
+    .expect("workload runs");
+    let wall = started.elapsed().as_secs_f64();
+    let spans = run.profiler.total().as_secs_f64();
+    println!("\n== CI host-time profile (unprobed run) ==");
+    println!(
+        "{:.1}ms wall, spans cover {:.1}%",
+        wall * 1e3,
+        100.0 * spans / wall.max(1e-9)
+    );
+    print!("{}", run.profiler.text_summary());
+    if let Some(path) = trace_path {
+        let mut body = run.profiler.chrome_trace().render();
+        body.push('\n');
+        std::fs::write(&path, body)
+            .unwrap_or_else(|e| panic!("cannot write Chrome trace to {path}: {e}"));
+        println!("Chrome trace written to {path} (load in chrome://tracing or Perfetto)");
+    }
 
     cli.out
         .raw_jsonl(&registry.to_jsonl(&[("workload", workload.name()), ("config", "ci_w256")]));

@@ -1,11 +1,12 @@
-//! Experiment binaries and Criterion benchmarks.
+//! Experiment binaries.
 //!
 //! `repro <name>` regenerates one table or figure of the paper (`table1`,
 //! `fig5`, ...; see `DESIGN.md` for the index), or all of them with
-//! `repro all`. `explore`, `fuzz`, `inspect`, `profile` and `throughput`
-//! drive the explorer, the differential fuzzer and the host profilers; the
-//! Criterion benches under `benches/` track the *simulator's own*
-//! performance. Scale the experiments with `CI_REPRO_INSTRUCTIONS=<n>`.
+//! `repro all`. `explore` and `fuzz` drive the explorer and the
+//! differential fuzzer; `inspect` shows one workload, its probed run and
+//! its host-time span tree; `throughput` measures the *simulator's own*
+//! speed and gates it against a baseline. Scale the experiments with
+//! `CI_REPRO_INSTRUCTIONS=<n>`.
 //!
 //! Every binary accepts the shared flags of [`cli::Cli`]:
 //!
@@ -48,12 +49,6 @@ pub mod cli {
                 path,
                 buf: String::new(),
             }
-        }
-
-        /// Whether `--json` was requested.
-        #[must_use]
-        pub fn json_enabled(&self) -> bool {
-            self.path.is_some()
         }
 
         /// Print `table` to stdout and stage its JSON-lines export.

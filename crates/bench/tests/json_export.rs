@@ -3,7 +3,7 @@
 //! parser and match the text table on stdout, and malformed command lines
 //! exit 2 with a usage line instead of running.
 
-use ci_obs::json::{parse, JsonValue};
+use control_independence::ci_obs::json::{parse, JsonValue};
 use std::process::Command;
 
 #[test]
@@ -103,22 +103,21 @@ fn malformed_command_lines_print_usage_and_exit_2() {
     }
 }
 
-/// Once `inspect`, `profile` and `throughput` have taken their own flags,
-/// a leftover flag or a surplus positional exits 2 with the binary's usage
-/// line before anything is printed.
+/// Once `inspect` and `throughput` have taken their own flags, a leftover
+/// flag, a surplus positional or an instruction count that is not a
+/// positive integer exits 2 with the binary's usage line before anything is
+/// printed.
 #[test]
 fn stray_arguments_print_usage_and_exit_2() {
-    let cases: [(&str, &[&str]); 4] = [
-        (
-            env!("CARGO_BIN_EXE_inspect"),
-            &["compress", "2000", "--jsno", "x"],
-        ),
-        (
-            env!("CARGO_BIN_EXE_inspect"),
-            &["compress", "2000", "extra"],
-        ),
-        (env!("CARGO_BIN_EXE_profile"), &["go", "--bogus"]),
-        (env!("CARGO_BIN_EXE_throughput"), &["--bogus"]),
+    let inspect = env!("CARGO_BIN_EXE_inspect");
+    let throughput = env!("CARGO_BIN_EXE_throughput");
+    let cases: [(&str, &[&str]); 6] = [
+        (inspect, &["compress", "2000", "--jsno", "x"]),
+        (inspect, &["compress", "2000", "extra"]),
+        (inspect, &["compress", "banana"]),
+        (inspect, &["compress", "0"]),
+        (throughput, &["--bogus"]),
+        (throughput, &["--tolerance", "5"]),
     ];
     for (bin, args) in cases {
         let output = Command::new(bin)

@@ -1,8 +1,8 @@
-//! End-to-end checks of the performance-observability binaries: `profile`
-//! (span tree + Chrome trace) and `throughput` (MIPS report + baseline
-//! gate), plus the shared `--metrics` run report.
+//! End-to-end checks of the performance-observability binaries: `inspect`
+//! (span tree + Chrome trace) and `throughput` (MIPS report, probe overhead
+//! and baseline gate), plus the shared `--metrics` run report.
 
-use ci_obs::json::{parse, JsonValue};
+use control_independence::ci_obs::json::{parse, JsonValue};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -11,14 +11,14 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn profile_reports_spans_and_writes_a_chrome_trace() {
+fn inspect_reports_spans_and_writes_a_chrome_trace() {
     // Coverage is a wall-clock measurement: on a contended host the
     // scheduler can preempt the profiled process between spans and the
     // unattributed share grows. Retry a couple of times before believing
     // the instrumentation itself lost time.
     let mut coverage = 0.0;
     for attempt in 0..3 {
-        coverage = profile_once();
+        coverage = inspect_once();
         if coverage >= 90.0 {
             break;
         }
@@ -30,24 +30,19 @@ fn profile_reports_spans_and_writes_a_chrome_trace() {
     );
 }
 
-/// One full run of the `profile` binary with all structural assertions;
+/// One full run of `inspect --trace` with all structural assertions;
 /// returns the span-tree wall coverage so the caller can retry on a
 /// contended-scheduler shortfall.
-fn profile_once() -> f64 {
+fn inspect_once() -> f64 {
     let trace = tmp("trace.json");
-    let json = tmp("profile.jsonl");
-    let output = Command::new(env!("CARGO_BIN_EXE_profile"))
-        .args(["go", "4000", "--config", "ci"])
-        .arg("--trace")
+    let output = Command::new(env!("CARGO_BIN_EXE_inspect"))
+        .args(["go", "4000", "--trace"])
         .arg(&trace)
-        .arg("--json")
-        .arg(&json)
-        .env("CI_REPRO_INSTRUCTIONS", "4000")
         .output()
-        .expect("profile binary runs");
+        .expect("inspect binary runs");
     assert!(
         output.status.success(),
-        "profile failed: {}",
+        "inspect failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
@@ -56,7 +51,6 @@ fn profile_once() -> f64 {
         "cycle_loop",
         "complete",
         "fetch",
-        "cycle attribution",
         "no-progress polled cycles",
     ] {
         assert!(
@@ -81,22 +75,12 @@ fn profile_once() -> f64 {
         .iter()
         .any(|e| e.get("name").and_then(JsonValue::as_str) == Some("cycle_loop")));
 
-    // The --json export carries the span report with ≥90% wall coverage.
-    let jsonl = std::fs::read_to_string(&json).expect("--json wrote the file");
-    std::fs::remove_file(&json).ok();
-    let report =
-        parse(jsonl.lines().next().expect("one report line")).expect("report line is valid JSON");
-    assert_eq!(
-        report.get("metric").and_then(JsonValue::as_str),
-        Some("profile")
-    );
-    let coverage = report
-        .get("coverage_pct")
-        .and_then(JsonValue::as_f64)
-        .expect("coverage_pct");
-    let activity = report.get("activity").expect("activity object");
-    assert!(activity.get("cycles").and_then(JsonValue::as_i64).unwrap() > 0);
-    coverage
+    stdout
+        .split("spans cover ")
+        .nth(1)
+        .and_then(|rest| rest.split('%').next())
+        .and_then(|pct| pct.parse().ok())
+        .unwrap_or_else(|| panic!("no span coverage on stdout:\n{stdout}"))
 }
 
 #[test]
@@ -138,6 +122,19 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
             .unwrap()
             > 0.0
     );
+    let probes = report
+        .get("probe_overhead")
+        .and_then(JsonValue::as_array)
+        .expect("probe_overhead array");
+    assert_eq!(
+        probes.len(),
+        4,
+        "plain, MetricsProbe, FlightRecorder, SpanProfiler"
+    );
+    for p in probes {
+        assert!(p.get("mips").and_then(JsonValue::as_f64).unwrap() > 0.0);
+    }
+    std::fs::remove_file(&json).ok();
 
     // The --metrics report is valid run_metrics/v1 JSON.
     let metrics_text = std::fs::read_to_string(&metrics).expect("--metrics wrote the file");
@@ -152,35 +149,33 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
         Some("throughput")
     );
 
-    // Gate against the run's own numbers: must pass.
-    let gate = Command::new(env!("CARGO_BIN_EXE_throughput"))
-        .arg("--baseline")
-        .arg(&json)
-        .env("CI_REPRO_INSTRUCTIONS", "2000")
-        .output()
-        .expect("throughput binary runs");
+    // The gate passes a baseline no run can miss and trips on one no run
+    // can reach; a baseline from a real run would make the outcome depend
+    // on the host's speed between the two runs.
+    let gate = |geomean: &str| {
+        let baseline = tmp(&format!("baseline_{geomean}.json"));
+        std::fs::write(
+            &baseline,
+            format!(r#"{{"schema":"bench_throughput/v1","geomean_mips":{geomean}}}"#),
+        )
+        .expect("write baseline");
+        let output = Command::new(env!("CARGO_BIN_EXE_throughput"))
+            .arg("--baseline")
+            .arg(&baseline)
+            .env("CI_REPRO_INSTRUCTIONS", "2000")
+            .output()
+            .expect("throughput binary runs");
+        std::fs::remove_file(&baseline).ok();
+        output
+    };
+    let passed = gate("1e-9");
     assert!(
-        gate.status.success(),
-        "self-baseline gate failed: {}",
-        String::from_utf8_lossy(&gate.stderr)
+        passed.status.success(),
+        "gate should pass a 1e-9 MIPS baseline: {}",
+        String::from_utf8_lossy(&passed.stderr)
     );
-    assert!(String::from_utf8_lossy(&gate.stdout).contains("gate: ok"));
-
-    // An absurdly fast baseline must trip the gate.
-    let fast = tmp("fast_baseline.json");
-    std::fs::write(
-        &fast,
-        r#"{"schema":"bench_throughput/v1","geomean_mips":1e9}"#,
-    )
-    .expect("write fast baseline");
-    let tripped = Command::new(env!("CARGO_BIN_EXE_throughput"))
-        .arg("--baseline")
-        .arg(&fast)
-        .env("CI_REPRO_INSTRUCTIONS", "2000")
-        .output()
-        .expect("throughput binary runs");
-    std::fs::remove_file(&fast).ok();
-    std::fs::remove_file(&json).ok();
+    assert!(String::from_utf8_lossy(&passed.stdout).contains("gate: ok"));
+    let tripped = gate("1e9");
     assert!(
         !tripped.status.success(),
         "gate should trip on a 1e9 MIPS baseline"

@@ -30,8 +30,9 @@ use std::time::{Duration, Instant};
 /// Like [`crate::Probe`], implementors are statically monomorphized into
 /// the instrumented code: with the default [`NoopProfiler`] every
 /// `enter`/`exit` pair inlines to nothing, so the cycle loop pays no branch
-/// and no timestamp when profiling is off (`benches/obs_overhead.rs` tracks
-/// this).
+/// and no timestamp when profiling is off. The `throughput` binary's
+/// probe-overhead table times a live [`SpanProfiler`] against a plain run,
+/// which uses this default.
 pub trait Profiler {
     /// Open a named scope. The default implementation discards it.
     #[inline(always)]

@@ -23,7 +23,7 @@
 //! The workspace determinism suite pins this guarantee.
 //!
 //! Everything is std-only: the build environment has no crates.io access
-//! (see the vendored `proptest`/`criterion` shims).
+//! (see the vendored `proptest` shim).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

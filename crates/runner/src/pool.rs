@@ -1,7 +1,7 @@
 //! A hand-rolled work-stealing batch executor on `std::thread`.
 //!
 //! The container has no crates.io access, so this is deliberately std-only
-//! (matching the vendored `proptest`/`criterion` shims). The model is batch
+//! (matching the vendored `proptest` shim). The model is batch
 //! execution: all jobs are known up front, distributed round-robin across
 //! per-worker deques, and each worker pops from the *front* of its own deque
 //! (preserving locality and submission order) while stealing from the *back*
