@@ -6,7 +6,8 @@
 //! reproducers and written as replayable JSON artifacts. With
 //! `--mode coverage` the campaign is corpus-driven: coverage-novel programs
 //! persist under `--corpus-dir` and later trials mutate them instead of
-//! starting from scratch.
+//! starting from scratch. `--corpus-dir` alone selects coverage mode; with
+//! `--mode random` it is a usage error.
 //!
 //! ```text
 //! fuzz [--seed N] [--iters N | --time-budget SECS] [--workers N]
@@ -44,6 +45,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parse a count that must be at least 1; a usage error otherwise.
+fn positive(flag: &str, v: &str) -> usize {
+    v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+        eprintln!("{flag} must be a positive integer, got `{v}`");
+        usage();
+    })
+}
+
 fn parse_args() -> Cli {
     let mut opts = FuzzOptions {
         artifact_dir: Some(PathBuf::from("fuzz-artifacts")),
@@ -53,6 +62,7 @@ fn parse_args() -> Cli {
     let mut coverage_report = None;
     let mut baseline = None;
     let mut iters_given = false;
+    let mut mode = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = |name: &str| -> String {
@@ -83,24 +93,16 @@ fn parse_args() -> Cli {
                     opts.iters = None;
                 }
             }
-            "--workers" => {
-                opts.workers = value("--workers").parse().unwrap_or_else(|_| usage());
-            }
+            "--workers" => opts.workers = positive("--workers", &value("--workers")),
             "--mode" => {
                 let v = value("--mode");
-                opts.mode = FuzzMode::from_name(&v).unwrap_or_else(|| {
+                mode = Some(FuzzMode::from_name(&v).unwrap_or_else(|| {
                     eprintln!("bad --mode {v:?} (random|coverage)");
                     usage();
-                });
+                }));
             }
-            "--corpus-dir" => {
-                opts.corpus_dir = Some(PathBuf::from(value("--corpus-dir")));
-                // A corpus only makes sense when coverage guides.
-                opts.mode = FuzzMode::Coverage;
-            }
-            "--round-size" => {
-                opts.round_size = value("--round-size").parse().unwrap_or_else(|_| usage());
-            }
+            "--corpus-dir" => opts.corpus_dir = Some(PathBuf::from(value("--corpus-dir"))),
+            "--round-size" => opts.round_size = positive("--round-size", &value("--round-size")),
             "--coverage-report" => {
                 coverage_report = Some(PathBuf::from(value("--coverage-report")));
             }
@@ -117,6 +119,17 @@ fn parse_args() -> Cli {
             }
         }
     }
+    // A corpus only makes sense when coverage guides, so `--corpus-dir`
+    // alone selects coverage mode and contradicts `--mode random`.
+    opts.mode = match (mode, &opts.corpus_dir) {
+        (Some(FuzzMode::Random), Some(_)) => {
+            eprintln!("--corpus-dir needs --mode coverage, got --mode random");
+            usage();
+        }
+        (Some(m), _) => m,
+        (None, Some(_)) => FuzzMode::Coverage,
+        (None, None) => FuzzMode::Random,
+    };
     Cli {
         opts,
         replay,
@@ -145,19 +158,19 @@ fn replay_artifact(path: &PathBuf) -> i32 {
         artifact.trial_seed,
         artifact.program.emit().len()
     );
-    let outcome = replay(&artifact);
-    if outcome.failures.is_empty() {
+    let failures = replay(&artifact);
+    if failures.is_empty() {
         println!("replay passed: no failures reproduced");
         return 0;
     }
-    for f in &outcome.failures {
+    for f in &failures {
         println!("== {} [{}] ==", f.kind.name(), f.model);
         println!("{}", f.detail);
         if !f.flight.is_empty() {
             println!("{}", f.flight);
         }
     }
-    println!("{} failure(s) reproduced", outcome.failures.len());
+    println!("{} failure(s) reproduced", failures.len());
     1
 }
 

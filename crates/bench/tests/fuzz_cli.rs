@@ -165,6 +165,55 @@ fn bad_mode_exits_two() {
     assert!(stderr(&out).contains("bad --mode"));
 }
 
+/// A usage error: exit 2, the message and the usage line on stderr,
+/// nothing on stdout.
+fn assert_usage_error(out: &Output, message: &str) {
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(out));
+    assert!(stdout(out).is_empty(), "stdout: {}", stdout(out));
+    assert!(stderr(out).contains(message), "stderr: {}", stderr(out));
+    assert!(
+        stderr(out).contains("usage: fuzz"),
+        "stderr: {}",
+        stderr(out)
+    );
+}
+
+#[test]
+fn corpus_dir_contradicts_random_mode_in_either_order() {
+    let dir = scratch("contra");
+    let corpus = dir.join("corpus");
+    for mode_first in [false, true] {
+        let mut cmd = fuzz_bin();
+        if mode_first {
+            cmd.args(["--mode", "random"]);
+        }
+        cmd.arg("--corpus-dir").arg(&corpus);
+        if !mode_first {
+            cmd.args(["--mode", "random"]);
+        }
+        let out = cmd
+            .args(["--iters", "24"])
+            .arg("--artifact-dir")
+            .arg(dir.join("arts"))
+            .output()
+            .unwrap();
+        assert_usage_error(&out, "--corpus-dir needs --mode coverage");
+        assert!(!corpus.exists(), "a rejected run wrote the corpus");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn zero_workers_and_zero_round_size_exit_two() {
+    for flag in ["--workers", "--round-size"] {
+        let out = fuzz_bin()
+            .args([flag, "0", "--iters", "1"])
+            .output()
+            .unwrap();
+        assert_usage_error(&out, &format!("{flag} must be a positive integer, got `0`"));
+    }
+}
+
 #[test]
 fn unreadable_replay_exits_two() {
     let out = fuzz_bin()

@@ -11,8 +11,6 @@
 //! [`crate::Stats`]: the simulated machine and its golden-pinned statistics
 //! are untouched.
 
-use ci_obs::JsonValue;
-
 /// Aggregated per-cycle stage activity for one pipeline run.
 ///
 /// A cycle is *active* for a stage when the stage moved at least one
@@ -141,25 +139,6 @@ impl CycleActivity {
         ));
         out
     }
-
-    /// The counters as one JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("cycles", JsonValue::from(self.cycles)),
-            ("fetch_cycles", self.fetch_cycles.into()),
-            ("issue_cycles", self.issue_cycles.into()),
-            ("complete_cycles", self.complete_cycles.into()),
-            ("retire_cycles", self.retire_cycles.into()),
-            ("recovery_cycles", self.recovery_cycles.into()),
-            ("idle_cycles", self.idle_cycles.into()),
-            ("fetched", self.fetched.into()),
-            ("issued", self.issued.into()),
-            ("completed", self.completed.into()),
-            ("retired", self.retired.into()),
-            ("avg_occupancy", self.avg_occupancy().into()),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +171,5 @@ mod tests {
         let text = a.summary();
         assert!(text.contains("no-progress"));
         assert!(text.contains("fetch"));
-        let json = a.to_json().render();
-        assert!(ci_obs::json::parse(&json).is_ok());
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::shrink::ShrinkStats;
 use crate::spec::TrialSpec;
-use crate::trial::{check_program, Failure, FailureKind, TrialOutcome};
+use crate::trial::{check_program, Failure, FailureKind};
 use ci_isa::Reg;
 use ci_obs::json::{self, JsonValue};
 use ci_workloads::{CondKind, SimpleOp, Stmt, StructuredProgram};
@@ -147,19 +147,13 @@ impl Artifact {
 }
 
 /// Re-run an artifact's program under its trial's configuration and report
-/// what fails now. Fully deterministic: the spec is re-derived from the
-/// artifact's trial seed and the program re-emitted from its statement tree.
+/// what fails now (empty when it passes). Fully deterministic: the spec is
+/// re-derived from the artifact's trial seed and the program re-emitted
+/// from its statement tree.
 #[must_use]
-pub fn replay(artifact: &Artifact) -> TrialOutcome {
+pub fn replay(artifact: &Artifact) -> Vec<Failure> {
     let spec = TrialSpec::generate(artifact.trial_seed);
-    let program = artifact.program.emit();
-    let (dynamic_len, failures) = check_program(&program, &spec);
-    TrialOutcome {
-        spec,
-        program_len: program.len(),
-        dynamic_len,
-        failures,
-    }
+    check_program(&artifact.program.emit(), &spec).0
 }
 
 // ---- program (de)serialization -------------------------------------------
@@ -405,12 +399,9 @@ mod tests {
         assert_eq!(back.failures[0].kind, FailureKind::Divergence);
         assert_eq!(back.failures[0].detail, artifact.failures[0].detail);
 
-        // A healthy program replays clean, and the outcome is identical to a
-        // fresh trial on the same seed.
-        let outcome = replay(&back);
-        assert!(outcome.passed(), "{:?}", outcome.failures);
-        let fresh = crate::trial::run_trial(&spec);
-        assert_eq!(outcome.dynamic_len, fresh.dynamic_len);
+        // A healthy program replays clean.
+        let failures = replay(&back);
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Trial-level coverage: salted per-machine signatures, config-derived
-//! features, and the campaign-global coverage map.
+//! Trial-level coverage: salted per-machine signatures and config-derived
+//! features.
 //!
 //! Each trial runs the three detailed machines (BASE / CI / CI-I) with a
 //! [`ci_obs::CoverageRecorder`] attached. The recorder hashes **event
@@ -25,10 +25,10 @@
 //!   campaign has not.
 //!
 //! The union of the three salted signatures is the trial's
-//! [`TrialCoverage`]; [`CoverageMap`] accumulates trials and reports how
-//! many edges each one contributed.
+//! [`TrialCoverage`]; the campaign merges each trial's signature into one
+//! [`CoverageSignature`] map, whose `merge` reports how many edges the trial
+//! contributed.
 
-use crate::spec::TrialSpec;
 use ci_core::{CompletionModel, PipelineConfig, Preemption, RepredictMode};
 use ci_obs::{mix64, CoverageSignature};
 
@@ -38,8 +38,6 @@ use ci_obs::{mix64, CoverageSignature};
 pub struct TrialCoverage {
     /// Union signature across BASE / CI / CI-I.
     pub signature: CoverageSignature,
-    /// Deepest restart nesting any machine reached.
-    pub max_restart_depth: u32,
 }
 
 impl TrialCoverage {
@@ -60,15 +58,14 @@ impl TrialCoverage {
             self.signature
                 .insert(mix64(salt ^ 0xDEEB_u64 << 32 ^ u64::from(d)));
         }
-        self.max_restart_depth = self.max_restart_depth.max(max_depth);
     }
 }
 
 /// Stable bucket for the recovery-relevant configuration axes of one
 /// machine run. `machine` is the variant index (0 = BASE, 1 = CI,
-/// 2 = CI-I) from [`TrialSpec::detailed_variants`].
+/// 2 = CI-I) from [`crate::TrialSpec::detailed_variants`].
 #[must_use]
-pub fn mode_salt(machine: usize, config: &PipelineConfig) -> u64 {
+pub(crate) fn mode_salt(machine: usize, config: &PipelineConfig) -> u64 {
     let completion = match config.completion {
         CompletionModel::SpecC => 0u64,
         CompletionModel::NonSpec => 1,
@@ -113,78 +110,17 @@ pub fn mode_salt(machine: usize, config: &PipelineConfig) -> u64 {
     )
 }
 
-/// Per-machine salts for one trial spec, in `detailed_variants` order.
-#[must_use]
-pub fn trial_salts(spec: &TrialSpec) -> [u64; 3] {
-    let variants = spec.detailed_variants();
-    [
-        mode_salt(0, &variants[0].1),
-        mode_salt(1, &variants[1].1),
-        mode_salt(2, &variants[2].1),
-    ]
-}
-
-/// The campaign-global accumulated coverage map.
-#[derive(Clone, Debug, Default)]
-pub struct CoverageMap {
-    map: CoverageSignature,
-    /// Trials merged in (executions).
-    pub execs: u64,
-}
-
-impl CoverageMap {
-    /// An empty map.
-    #[must_use]
-    pub fn new() -> CoverageMap {
-        CoverageMap::default()
-    }
-
-    /// Total distinct edges observed.
-    #[must_use]
-    pub fn edges(&self) -> usize {
-        self.map.count()
-    }
-
-    /// Merge one trial's coverage; returns how many of its edges were new.
-    pub fn merge(&mut self, cov: &TrialCoverage) -> usize {
-        self.execs += 1;
-        self.map.merge(&cov.signature)
-    }
-
-    /// Merge a bare signature (corpus seeding) without counting an
-    /// execution; returns how many edges were new.
-    pub fn seed(&mut self, sig: &CoverageSignature) -> usize {
-        self.map.merge(sig)
-    }
-
-    /// How many of `cov`'s edges the map has not seen yet.
-    #[must_use]
-    pub fn novelty(&self, cov: &TrialCoverage) -> usize {
-        cov.signature.novel_against(&self.map)
-    }
-
-    /// Mean executions per discovered edge (`execs / edges`); `0.0` when
-    /// nothing has been discovered.
-    #[must_use]
-    pub fn execs_per_edge(&self) -> f64 {
-        let e = self.edges();
-        if e == 0 {
-            0.0
-        } else {
-            self.execs as f64 / e as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::TrialSpec;
     use ci_core::SquashMode;
 
     #[test]
     fn mode_salts_separate_machines_and_modes() {
         let spec = TrialSpec::generate(3);
-        let [a, b, c] = trial_salts(&spec);
+        let variants = spec.detailed_variants();
+        let [a, b, c] = [0, 1, 2].map(|m| mode_salt(m, &variants[m].1));
         assert_ne!(a, b);
         assert_ne!(b, c);
         // Changing a recovery-relevant axis moves the salt...
@@ -214,28 +150,13 @@ mod tests {
         deep.absorb(7, &CoverageSignature::new(), 3);
         assert_eq!(shallow.edges(), 1);
         assert_eq!(deep.edges(), 3);
-        assert_eq!(deep.signature.novel_against(&shallow.signature), 2);
-        assert_eq!(shallow.signature.novel_against(&deep.signature), 0);
+        // Edges of `b` that `a` lacks.
+        let novel = |a: &TrialCoverage, b: &TrialCoverage| a.signature.clone().merge(&b.signature);
+        assert_eq!(novel(&shallow, &deep), 2);
+        assert_eq!(novel(&deep, &shallow), 0);
 
         let mut other_mode = TrialCoverage::default();
         other_mode.absorb(8, &CoverageSignature::new(), 1);
-        assert_eq!(other_mode.signature.novel_against(&shallow.signature), 1);
-        assert_eq!(deep.max_restart_depth, 3);
-    }
-
-    #[test]
-    fn map_tracks_novelty_and_execs() {
-        let mut map = CoverageMap::new();
-        let mut cov = TrialCoverage::default();
-        let mut sig = CoverageSignature::new();
-        sig.insert(1);
-        sig.insert(2);
-        cov.absorb(0, &sig, 0);
-        assert_eq!(map.novelty(&cov), 2);
-        assert_eq!(map.merge(&cov), 2);
-        assert_eq!(map.merge(&cov), 0);
-        assert_eq!(map.execs, 2);
-        assert_eq!(map.edges(), 2);
-        assert!((map.execs_per_edge() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(novel(&shallow, &other_mode), 1);
     }
 }

@@ -1,35 +1,31 @@
-//! The fuzzing loops: a deterministic random trial stream ([`run_fuzz`]) and
-//! the corpus-driven, coverage-guided campaign ([`run_campaign`]).
+//! The fuzzing loop, [`run_campaign`]: a deterministic random trial stream
+//! (`FuzzMode::Random`) or a corpus-driven, coverage-guided campaign
+//! (`FuzzMode::Coverage`).
 //!
-//! Both are worker-count independent. The random loop gets this for free:
-//! trial `i` of a campaign with seed `s` always runs the spec derived from
-//! `mix(s, i)` — a pure function — so `--workers 8` and `--workers 1`
-//! explore exactly the same trials, just in a different order.
-//!
-//! The coverage-guided loop is *stateful* (what gets mutated depends on what
-//! the corpus holds), so it runs in **rounds**: each round snapshots the
-//! corpus, derives every trial in the round purely from `(campaign seed,
-//! global trial index, snapshot)`, executes the batch on the
-//! [`ci_runner::run_batch`] work-stealing pool, and then merges results into
-//! the coverage map and corpus **in global trial-index order** at the round
-//! barrier. Worker count affects only which thread runs which trial, never
-//! which trials exist or the order their novelty is judged in — the same
-//! discipline, one level up, as the random loop's.
+//! Both modes run in **rounds**: each round snapshots the corpus, derives
+//! every trial in the round purely from `(campaign seed, global trial index,
+//! snapshot)`, executes the batch on the [`ci_runner::run_batch`]
+//! work-stealing pool, and then merges results into the coverage map and
+//! corpus **in global trial-index order** at the round barrier. Worker count
+//! affects only which thread runs which trial, never which trials exist or
+//! the order their novelty is judged in. In random mode the snapshot is
+//! never read: trial `i` of a campaign with seed `s` always checks the
+//! program and spec derived from [`trial_seed`]`(s, i)`, so `--workers 8`
+//! and `--workers 1` explore exactly the same trials.
 
 use crate::artifact::Artifact;
 use crate::corpus::{Corpus, CorpusEntry, SeedOrigin};
-use crate::coverage::CoverageMap;
 use crate::mutate::mutate;
 use crate::shrink::shrink;
 use crate::spec::TrialSpec;
-use crate::trial::{check_program, check_reference, run_trial, Failure};
+use crate::trial::{check_program, check_reference, Failure};
 use crate::TrialCoverage;
 use ci_core::ArchRef;
 use ci_obs::json::JsonValue;
+use ci_obs::CoverageSignature;
 use ci_report::{f as fmt_f, Table};
 use ci_workloads::{random_structured, SplitMix64, StructuredProgram};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -71,8 +67,8 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Number of trials; `None` means run until the time budget expires.
     pub iters: Option<u64>,
-    /// Wall-clock budget; workers stop picking up new trials once elapsed
-    /// (checked at round boundaries in coverage mode).
+    /// Wall-clock budget, checked at round boundaries: once it has elapsed
+    /// no further round starts.
     pub time_budget: Option<Duration>,
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
@@ -82,15 +78,14 @@ pub struct FuzzOptions {
     pub max_artifacts: usize,
     /// Predicate evaluations the shrinker may spend per failure.
     pub shrink_budget: usize,
-    /// Trial selection strategy ([`run_campaign`] only; [`run_fuzz`] is
-    /// always [`FuzzMode::Random`]).
+    /// Trial selection strategy.
     pub mode: FuzzMode,
     /// Persistent corpus directory: loaded (and coverage-seeded) before the
     /// campaign, saved with any new entries after. `None` keeps the corpus
     /// in memory for the campaign only.
     pub corpus_dir: Option<PathBuf>,
-    /// Trials per round in coverage mode (the batch between corpus-merge
-    /// barriers; clamped to at least 1).
+    /// Trials per round (the batch between merge barriers; clamped to at
+    /// least 1).
     pub round_size: usize,
 }
 
@@ -130,7 +125,7 @@ pub struct FuzzSummary {
     pub written: Vec<PathBuf>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// Rounds executed (coverage mode; random mode counts one).
+    /// Rounds executed.
     pub rounds: u64,
     /// Trials generated fresh from their trial seed.
     pub generated: u64,
@@ -249,98 +244,6 @@ pub fn silence_panics() {
     });
 }
 
-struct Shared {
-    next: AtomicU64,
-    done: AtomicU64,
-    failed: AtomicU64,
-    stop: AtomicBool,
-    findings: Mutex<Vec<(u64, Artifact)>>,
-}
-
-/// Run a classic random fuzzing campaign. Deterministic for fixed `seed` +
-/// `iters` (time-budget campaigns stop at a scheduling-dependent trial
-/// count, but every trial they do run is still individually reproducible
-/// from its index). Ignores [`FuzzOptions::mode`]; coverage-guided
-/// campaigns go through [`run_campaign`].
-#[must_use]
-pub fn run_fuzz(opts: &FuzzOptions) -> FuzzSummary {
-    silence_panics();
-    let start = Instant::now();
-    let iters = match (opts.iters, opts.time_budget) {
-        (Some(n), _) => n,
-        (None, Some(_)) => u64::MAX,
-        (None, None) => 100,
-    };
-    let shared = Shared {
-        next: AtomicU64::new(0),
-        done: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        findings: Mutex::new(Vec::new()),
-    };
-    let workers = opts.workers.max(1);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| worker(opts, iters, start, &shared));
-        }
-    });
-
-    let mut findings = shared.findings.into_inner().expect("no worker panics");
-    findings.sort_by_key(|(idx, _)| *idx);
-    findings.truncate(opts.max_artifacts);
-
-    let trials = shared.done.into_inner();
-    let mut summary = FuzzSummary {
-        seed: opts.seed,
-        mode: FuzzMode::Random,
-        trials,
-        generated: trials,
-        failed: shared.failed.into_inner(),
-        artifacts: findings.into_iter().map(|(_, a)| a).collect(),
-        elapsed: start.elapsed(),
-        rounds: 1,
-        ..FuzzSummary::default()
-    };
-    write_artifacts(opts, &mut summary);
-    summary
-}
-
-fn worker(opts: &FuzzOptions, iters: u64, start: Instant, shared: &Shared) {
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(budget) = opts.time_budget {
-            if start.elapsed() >= budget {
-                return;
-            }
-        }
-        let idx = shared.next.fetch_add(1, Ordering::Relaxed);
-        if idx >= iters {
-            return;
-        }
-        let tseed = trial_seed(opts.seed, idx);
-        let spec = TrialSpec::generate(tseed);
-        let outcome = run_trial(&spec);
-        shared.done.fetch_add(1, Ordering::Relaxed);
-        if outcome.passed() {
-            continue;
-        }
-        let nth = shared.failed.fetch_add(1, Ordering::Relaxed);
-        if nth as usize >= opts.max_artifacts {
-            continue; // counted, but not worth another shrink campaign
-        }
-        let original = random_structured(spec.program_seed, spec.size_hint);
-        let artifact = shrink_to_artifact(&original, tseed, &spec, opts.shrink_budget);
-        shared
-            .findings
-            .lock()
-            .expect("no worker panics")
-            .push((idx, artifact));
-    }
-}
-
 fn shrink_to_artifact(
     original: &StructuredProgram,
     tseed: u64,
@@ -348,9 +251,9 @@ fn shrink_to_artifact(
     budget: usize,
 ) -> Artifact {
     let (min, stats) = shrink(original, budget, |candidate| {
-        !check_program(&candidate.emit(), spec).1.is_empty()
+        !check_program(&candidate.emit(), spec).0.is_empty()
     });
-    let (_, failures) = check_program(&min.emit(), spec);
+    let (failures, _) = check_program(&min.emit(), spec);
     Artifact {
         trial_seed: tseed,
         program: min,
@@ -372,22 +275,13 @@ fn write_artifacts(opts: &FuzzOptions, summary: &mut FuzzSummary) {
 }
 
 // ---------------------------------------------------------------------------
-// Coverage-guided campaign.
+// The campaign loop.
 
-/// A corpus seed's state at a round boundary: the program to mutate plus
-/// the energy weighting parent selection draws against.
-struct SeedState {
-    program: StructuredProgram,
-    novel_edges: usize,
-    selections: u64,
-}
-
-impl SeedState {
-    /// Selection weight: proportional to the edges the seed contributed,
-    /// decayed as it gets picked, never zero (every seed stays reachable).
-    fn energy(&self) -> u64 {
-        ((self.novel_edges.max(1) as u64) * 16 / (1 + self.selections)).max(1)
-    }
+/// A corpus seed's selection weight: proportional to the edges it
+/// contributed, decayed as it gets picked, never zero (every seed stays
+/// reachable).
+fn energy(novel_edges: usize, selections: u64) -> u64 {
+    ((novel_edges.max(1) as u64) * 16 / (1 + selections)).max(1)
 }
 
 enum TaskKind {
@@ -396,7 +290,6 @@ enum TaskKind {
 }
 
 struct RoundTask {
-    idx: u64,
     tseed: u64,
     spec: TrialSpec,
     program: StructuredProgram,
@@ -410,32 +303,37 @@ struct TrialResult {
 }
 
 /// Derive round trial `idx` purely from the campaign seed and the corpus
-/// snapshot — the function whose purity makes coverage campaigns
-/// worker-count independent.
-fn derive_task(campaign_seed: u64, idx: u64, mode: FuzzMode, snapshot: &[SeedState]) -> RoundTask {
+/// snapshot (`seeds`, with `selections[k]` counting the picks of
+/// `seeds[k]`) — the function whose purity makes campaigns worker-count
+/// independent.
+fn derive_task(
+    campaign_seed: u64,
+    idx: u64,
+    mode: FuzzMode,
+    seeds: &[CorpusEntry],
+    selections: &[u64],
+) -> RoundTask {
     let tseed = trial_seed(campaign_seed, idx);
     let spec = TrialSpec::generate(tseed);
     // A separate stream from the spec's: scheduling decisions must not
     // perturb the config the trial runs under.
     let mut rng = SplitMix64::new(tseed ^ 0xC0E_FACE_5EED);
-    let generate = mode == FuzzMode::Random || snapshot.is_empty() || rng.chance(30);
+    let generate = mode == FuzzMode::Random || seeds.is_empty() || rng.chance(30);
     if generate {
         return RoundTask {
-            idx,
             tseed,
             spec,
             program: random_structured(spec.program_seed, spec.size_hint),
             kind: TaskKind::Generated,
         };
     }
-    let parent = pick_parent(snapshot, &mut rng);
-    let mut program = snapshot[parent].program.clone();
+    let parent = pick_parent(seeds, selections, &mut rng);
+    let mut program = seeds[parent].program.clone();
     let steps = 1 + rng.below(3);
     for _ in 0..steps {
         program = mutate(&program, rng.next_u64()).0;
     }
     RoundTask {
-        idx,
         tseed,
         spec,
         program,
@@ -444,30 +342,37 @@ fn derive_task(campaign_seed: u64, idx: u64, mode: FuzzMode, snapshot: &[SeedSta
 }
 
 /// Energy-weighted seed selection over the round snapshot.
-fn pick_parent(snapshot: &[SeedState], rng: &mut SplitMix64) -> usize {
-    let total: u64 = snapshot.iter().map(SeedState::energy).sum();
-    let mut roll = rng.below(total.max(1));
-    for (i, s) in snapshot.iter().enumerate() {
-        let e = s.energy();
+fn pick_parent(seeds: &[CorpusEntry], selections: &[u64], rng: &mut SplitMix64) -> usize {
+    let energies = || {
+        seeds
+            .iter()
+            .zip(selections)
+            .map(|(s, &n)| energy(s.novel_edges, n))
+    };
+    let mut roll = rng.below(energies().sum::<u64>().max(1));
+    for (i, e) in energies().enumerate() {
         if roll < e {
             return i;
         }
         roll -= e;
     }
-    snapshot.len() - 1
+    seeds.len() - 1
 }
 
-/// Run a coverage-guided (or coverage-*measured* random) campaign.
+/// Run a campaign: coverage-guided, or random with coverage measured.
 ///
-/// Loads the corpus from [`FuzzOptions::corpus_dir`] (quarantining corrupt
-/// entries), seeds the coverage map from the stored signatures, then runs
-/// trials in rounds of [`FuzzOptions::round_size`]: snapshot the corpus,
-/// derive every trial in the round from `(seed, index, snapshot)`, execute
-/// the batch on the shared worker pool, and merge coverage and corpus
-/// admissions at the barrier in trial-index order. Saves new corpus
-/// entries back to disk before returning.
+/// In coverage mode, loads the corpus from [`FuzzOptions::corpus_dir`]
+/// (quarantining corrupt entries) and seeds the coverage map from the
+/// stored signatures. Then runs trials in rounds of
+/// [`FuzzOptions::round_size`]: snapshot the corpus, derive every trial in
+/// the round from `(seed, index, snapshot)`, execute the batch on the shared
+/// worker pool, and merge coverage and corpus admissions at the barrier in
+/// trial-index order. Saves new corpus entries back to disk before
+/// returning.
 ///
-/// Deterministic for fixed `seed` + `iters`, for any worker count.
+/// Deterministic for fixed `seed` + `iters`, for any worker count
+/// (time-budget campaigns stop at a host-dependent round, but every trial
+/// they do run is reproducible from its index).
 ///
 /// # Errors
 /// Returns a message when the corpus directory cannot be read or written —
@@ -487,20 +392,14 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
         Some(dir) if opts.mode == FuzzMode::Coverage => Corpus::load(dir)?,
         _ => (Corpus::new(), Vec::new()),
     };
-    let mut map = CoverageMap::new();
+    let mut map = CoverageSignature::new();
     for entry in corpus.entries() {
-        map.seed(&entry.signature);
+        map.merge(&entry.signature);
     }
-    let seeded_edges = map.edges();
-    let mut states: Vec<SeedState> = corpus
-        .entries()
-        .iter()
-        .map(|e| SeedState {
-            program: e.program.clone(),
-            novel_edges: e.novel_edges,
-            selections: 0,
-        })
-        .collect();
+    let seeded_edges = map.count();
+    // Picks per corpus entry, index-aligned with `corpus.entries()`: the
+    // corpus only grows at the barrier, by appending.
+    let mut selections = vec![0u64; corpus.len()];
 
     let mut summary = FuzzSummary {
         seed: opts.seed,
@@ -509,7 +408,6 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
         quarantined,
         ..FuzzSummary::default()
     };
-    let mut findings: Vec<(u64, Artifact)> = Vec::new();
 
     let mut next = 0u64;
     while next < iters {
@@ -520,7 +418,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
         }
         let n = round_size.min(iters - next);
         let tasks: Vec<RoundTask> = (next..next + n)
-            .map(|idx| derive_task(opts.seed, idx, opts.mode, &states))
+            .map(|idx| derive_task(opts.seed, idx, opts.mode, corpus.entries(), &selections))
             .collect();
 
         // Execute the batch; slot k collects trial k's result.
@@ -548,15 +446,14 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
                 TaskKind::Generated => summary.generated += 1,
                 TaskKind::Mutated { parent } => {
                     summary.mutated += 1;
-                    states[parent].selections += 1;
+                    selections[parent] += 1;
                 }
             }
             if result.rejected {
                 summary.rejected += 1;
                 continue;
             }
-            let novel = map.novelty(&result.coverage);
-            map.merge(&result.coverage);
+            let novel = map.merge(&result.coverage.signature);
             if novel > 0 && opts.mode == FuzzMode::Coverage {
                 let entry = CorpusEntry {
                     name: format!("seed-{:016x}", result.coverage.signature.digest()),
@@ -571,24 +468,17 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
                 };
                 if corpus.add(entry) {
                     summary.new_entries += 1;
-                    states.push(SeedState {
-                        program: task.program.clone(),
-                        novel_edges: novel,
-                        selections: 0,
-                    });
+                    selections.push(0);
                 }
             }
             if !result.failures.is_empty() {
                 summary.failed += 1;
-                if findings.len() < opts.max_artifacts {
-                    findings.push((
-                        task.idx,
-                        shrink_to_artifact(
-                            &task.program,
-                            task.tseed,
-                            &task.spec,
-                            opts.shrink_budget,
-                        ),
+                if summary.artifacts.len() < opts.max_artifacts {
+                    summary.artifacts.push(shrink_to_artifact(
+                        &task.program,
+                        task.tseed,
+                        &task.spec,
+                        opts.shrink_budget,
                     ));
                 }
             }
@@ -597,9 +487,8 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
         next += n;
     }
 
-    summary.edges = map.edges();
+    summary.edges = map.count();
     summary.corpus_entries = corpus.len();
-    summary.artifacts = findings.into_iter().map(|(_, a)| a).collect();
     summary.elapsed = start.elapsed();
     write_artifacts(opts, &mut summary);
     if let Some(dir) = &opts.corpus_dir {
@@ -625,7 +514,7 @@ fn run_task(task: &RoundTask) -> TrialResult {
             coverage: TrialCoverage::default(),
         };
     }
-    let (_, failures, coverage) = check_reference(reference, &task.spec);
+    let (failures, coverage) = check_reference(reference, &task.spec);
     TrialResult {
         rejected: false,
         failures,
@@ -639,12 +528,13 @@ mod tests {
 
     #[test]
     fn a_short_clean_campaign() {
-        let summary = run_fuzz(&FuzzOptions {
+        let summary = run_campaign(&FuzzOptions {
             seed: 1,
             iters: Some(8),
             workers: 2,
             ..FuzzOptions::default()
-        });
+        })
+        .unwrap();
         assert_eq!(summary.trials, 8);
         assert!(summary.clean(), "{:?}", summary.artifacts);
         assert!(summary.artifacts.is_empty());
@@ -663,13 +553,14 @@ mod tests {
 
     #[test]
     fn time_budget_campaigns_terminate() {
-        let summary = run_fuzz(&FuzzOptions {
+        let summary = run_campaign(&FuzzOptions {
             seed: 2,
             iters: None,
             time_budget: Some(Duration::from_millis(300)),
             workers: 2,
             ..FuzzOptions::default()
-        });
+        })
+        .unwrap();
         assert!(summary.trials >= 1);
         assert!(summary.clean(), "{:?}", summary.artifacts);
     }

@@ -32,9 +32,11 @@
 //!    configuration, the divergence report and the flight-recorder
 //!    transcript. [`replay`] re-runs an artifact deterministically.
 //!
-//! The `ci-bench` binary `fuzz` drives [`run_fuzz`] from the command line
-//! with a `std::thread` worker pool (one seeded RNG stream per trial, so
-//! results are independent of worker count and scheduling).
+//! [`run_campaign`] is the one loop over these steps, in rounds on the
+//! `ci-runner` worker pool: trial `i` derives from [`trial_seed`]`(seed, i)`
+//! (and, in coverage mode, the corpus at its round's start), so results are
+//! independent of worker count and scheduling. The `ci-bench` binary `fuzz`
+//! drives it from the command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,12 +53,10 @@ mod trial;
 
 pub use artifact::{replay, Artifact};
 pub use corpus::{Corpus, CorpusEntry, SeedOrigin};
-pub use coverage::{mode_salt, trial_salts, CoverageMap, TrialCoverage};
-pub use fuzz::{
-    run_campaign, run_fuzz, silence_panics, trial_seed, FuzzMode, FuzzOptions, FuzzSummary,
-};
-pub use lockstep::{run_locked, run_locked_salted, LockstepRun};
+pub use coverage::TrialCoverage;
+pub use fuzz::{run_campaign, silence_panics, trial_seed, FuzzMode, FuzzOptions, FuzzSummary};
+pub use lockstep::{run_locked, LockstepRun};
 pub use mutate::{is_well_formed, mutate, MutationKind};
 pub use shrink::{shrink, ShrinkStats};
 pub use spec::TrialSpec;
-pub use trial::{check_program, check_program_cov, run_trial, Failure, FailureKind, TrialOutcome};
+pub use trial::{check_program, Failure, FailureKind};

@@ -4,7 +4,6 @@
 
 use ci_core::{ArchRef, Pipeline, PipelineConfig, Stats};
 use ci_emu::Trace;
-use ci_isa::Program;
 use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, NoopProfiler, Probe};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,13 +60,6 @@ pub struct LockstepRun {
 }
 
 impl LockstepRun {
-    /// Whether the run completed and its retired PC stream is bit-identical
-    /// to the emulator's correct-path trace.
-    #[must_use]
-    pub fn matches(&self, trace: &Trace) -> bool {
-        self.panic.is_none() && self.divergence(trace).is_none()
-    }
-
     /// First divergence between the retired PC stream and the trace, as a
     /// human-readable report; `None` when the streams are identical.
     #[must_use]
@@ -92,35 +84,17 @@ impl LockstepRun {
     }
 }
 
-/// Run `program` through the detailed pipeline under `config`, capturing
+/// Run the detailed pipeline over `reference` under `config`, capturing
 /// panics (the built-in oracle checker panics on divergence) instead of
-/// aborting the fuzzing process. `corrupt` optionally poisons one
-/// architectural-reference entry before the run — the test hook used to
+/// aborting the fuzzing process. `corrupt` optionally poisons one entry of
+/// this run's copy of the reference before the run — the test hook used to
 /// exercise the failure and shrinking paths on demand. The run records
 /// retired PCs and coverage only; the harness takes a failing run's
-/// transcript from a flight-recorded replay of it.
-///
-/// # Panics
-/// Panics if the program's correct path leaves the program.
+/// transcript from a flight-recorded replay of it. Every edge the run's
+/// coverage recorder sets folds `salt` in, so different machine variants
+/// and handling modes land in distinct regions of the campaign map.
 #[must_use]
 pub fn run_locked(
-    program: &Program,
-    config: PipelineConfig,
-    max_insts: u64,
-    corrupt: Option<usize>,
-) -> LockstepRun {
-    let reference =
-        ArchRef::build(program.clone(), max_insts).expect("trial programs have valid traces");
-    run_locked_salted(&reference, config, corrupt, 0)
-}
-
-/// [`run_locked`] over an already built architectural reference, with an
-/// explicit coverage salt: every edge the run's coverage recorder sets
-/// folds `salt` in, so different machine variants and handling modes land
-/// in distinct regions of the campaign map. `corrupt` poisons only this
-/// run's copy of the reference.
-#[must_use]
-pub fn run_locked_salted(
     reference: &ArchRef,
     config: PipelineConfig,
     corrupt: Option<usize>,
@@ -191,24 +165,26 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use ci_core::{simulate_probed, PipelineConfig};
-    use ci_emu::run_trace;
     use ci_workloads::random_program;
+
+    fn reference() -> ArchRef {
+        ArchRef::build(random_program(11, 60), 25_000).unwrap()
+    }
 
     #[test]
     fn clean_runs_match_the_trace() {
-        let p = random_program(11, 60);
-        let trace = run_trace(&p, 25_000).unwrap();
-        let run = run_locked(&p, PipelineConfig::ci(64), 25_000, None);
+        let reference = reference();
+        let trace = reference.trace();
+        let run = run_locked(&reference, PipelineConfig::ci(64), None, 0);
         assert!(run.panic.is_none(), "{:?}", run.panic);
-        assert!(run.matches(&trace));
+        assert_eq!(run.divergence(trace), None);
         assert_eq!(run.stats.unwrap().retired, trace.len() as u64);
     }
 
     #[test]
     fn corrupted_oracle_is_caught_not_fatal() {
         crate::fuzz::silence_panics();
-        let p = random_program(11, 60);
-        let run = run_locked(&p, PipelineConfig::ci(64), 25_000, Some(3));
+        let run = run_locked(&reference(), PipelineConfig::ci(64), Some(3), 0);
         let msg = run
             .panic
             .expect("corrupted reference must trip the checker");
@@ -218,11 +194,10 @@ mod tests {
     #[test]
     fn replay_reproduces_a_corrupted_run_with_its_transcript() {
         crate::fuzz::silence_panics();
-        let p = random_program(11, 60);
+        let reference = reference();
         let config = PipelineConfig::ci(64);
-        let run = run_locked(&p, config, 25_000, Some(3));
+        let run = run_locked(&reference, config, Some(3), 0);
         let msg = run.panic.expect("corrupted reference trips the checker");
-        let reference = ArchRef::build(p, 25_000).unwrap();
         let replayed = replay_flight(&reference, config, Some(3))
             .expect_err("the replay corrupts the same entry and fails the same way");
         assert!(
@@ -238,8 +213,7 @@ mod tests {
         let p = random_program(11, 60);
         let config = PipelineConfig::ci(64);
         let (_, recorder) = simulate_probed(&p, config, 25_000, FlightRecorder::new()).unwrap();
-        let reference = ArchRef::build(p, 25_000).unwrap();
-        let transcript = replay_flight(&reference, config, None).expect("a clean run completes");
+        let transcript = replay_flight(&reference(), config, None).expect("a clean run completes");
         assert_eq!(transcript, recorder.render());
     }
 }

@@ -1,13 +1,12 @@
-//! One fuzz trial: generate, run every model in lockstep, check invariants.
+//! One fuzz trial: run every model in lockstep, check invariants.
 
-use crate::coverage::{trial_salts, TrialCoverage};
-use crate::lockstep::{panic_message, replay_flight, run_locked_salted};
+use crate::coverage::{mode_salt, TrialCoverage};
+use crate::lockstep::{panic_message, replay_flight, run_locked};
 use crate::spec::TrialSpec;
 use ci_core::{ArchRef, CacheModel, SquashMode, Stats};
 use ci_emu::EmuError;
 use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, StudyInput};
 use ci_isa::Program;
-use ci_workloads::random_structured;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What went wrong in a failed check.
@@ -69,68 +68,23 @@ pub struct Failure {
     pub flight: String,
 }
 
-/// Result of one trial.
-#[derive(Clone, Debug)]
-pub struct TrialOutcome {
-    /// The trial's coordinates.
-    pub spec: TrialSpec,
-    /// Static instruction count of the generated program.
-    pub program_len: usize,
-    /// Dynamic (emulated) instruction count.
-    pub dynamic_len: usize,
-    /// Every failed check, empty when the trial passed.
-    pub failures: Vec<Failure>,
-}
-
-impl TrialOutcome {
-    /// Whether every check passed.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Run one trial end to end: generate the program from the spec and check it.
+/// Run every lockstep and invariant check on `program` under `spec` (the
+/// campaign's trials, the shrinker's predicate, artifact replay and the
+/// regression corpus all come through here). Returns every failure found,
+/// empty when the trial passed, and the trial's [`TrialCoverage`]: the
+/// union of the three detailed machines' salted event-bigram signatures.
 #[must_use]
-pub fn run_trial(spec: &TrialSpec) -> TrialOutcome {
-    let program = random_structured(spec.program_seed, spec.size_hint).emit();
-    let (dynamic_len, failures) = check_program(&program, spec);
-    TrialOutcome {
-        spec: *spec,
-        program_len: program.len(),
-        dynamic_len,
-        failures,
-    }
-}
-
-/// Run every lockstep and invariant check on an explicit `program` (used by
-/// [`run_trial`], by the shrinker's predicate, and by artifact replay).
-/// Returns the dynamic instruction count and all failures found.
-#[must_use]
-pub fn check_program(program: &Program, spec: &TrialSpec) -> (usize, Vec<Failure>) {
-    let (dynamic_len, failures, _) = check_program_cov(program, spec);
-    (dynamic_len, failures)
-}
-
-/// [`check_program`] that additionally extracts the trial's coverage: the
-/// union of the three detailed machines' salted event-bigram signatures
-/// (see [`crate::coverage`]). The coverage-guided fuzzer calls this; plain
-/// correctness callers use [`check_program`].
-#[must_use]
-pub fn check_program_cov(
-    program: &Program,
-    spec: &TrialSpec,
-) -> (usize, Vec<Failure>, TrialCoverage) {
+pub fn check_program(program: &Program, spec: &TrialSpec) -> (Vec<Failure>, TrialCoverage) {
     check_reference(ArchRef::build(program.clone(), spec.max_insts), spec)
 }
 
-/// [`check_program_cov`] over the trial program's architectural reference,
-/// or the error its emulation hit. The one reference serves the three
-/// detailed machines and the study input of the idealized models.
+/// [`check_program`] over the trial program's architectural reference, or
+/// the error its emulation hit. The one reference serves the three detailed
+/// machines and the study input of the idealized models.
 pub(crate) fn check_reference(
     reference: Result<ArchRef, EmuError>,
     spec: &TrialSpec,
-) -> (usize, Vec<Failure>, TrialCoverage) {
+) -> (Vec<Failure>, TrialCoverage) {
     let mut failures = Vec::new();
     let mut coverage = TrialCoverage::default();
 
@@ -143,17 +97,17 @@ pub(crate) fn check_reference(
                 detail: format!("emulator rejected the program: {e}"),
                 flight: String::new(),
             });
-            return (0, failures, coverage);
+            return (failures, coverage);
         }
     };
     let trace = reference.trace();
 
     // Detailed pipeline: BASE / CI / CI-I in lockstep with the oracle
     // checker armed, plus the harness's own retired-stream comparison.
-    let salts = trial_salts(spec);
     for (machine, (name, config)) in spec.detailed_variants().into_iter().enumerate() {
-        let run = run_locked_salted(&reference, config, None, salts[machine]);
-        coverage.absorb(salts[machine], &run.coverage, run.max_restart_depth);
+        let salt = mode_salt(machine, &config);
+        let run = run_locked(&reference, config, None, salt);
+        coverage.absorb(salt, &run.coverage, run.max_restart_depth);
         let first = failures.len();
         let mut fail = |kind, detail| {
             failures.push(Failure {
@@ -195,7 +149,7 @@ pub(crate) fn check_reference(
     // The six idealized models and their dominance relations.
     failures.extend(ideal_invariants(&reference, spec));
 
-    (trace.len(), failures, coverage)
+    (failures, coverage)
 }
 
 /// Counter sanity for one detailed run. Only invariants that hold by
@@ -375,16 +329,18 @@ mod tests {
     #[test]
     fn a_handful_of_trials_pass_clean() {
         for trial_seed in 0..6 {
-            let out = run_trial(&TrialSpec::generate(trial_seed));
+            let spec = TrialSpec::generate(trial_seed);
+            let program = ci_workloads::random_structured(spec.program_seed, spec.size_hint);
+            let (failures, coverage) = check_program(&program.emit(), &spec);
             assert!(
-                out.passed(),
+                failures.is_empty(),
                 "trial {trial_seed} failed: {:?}",
-                out.failures
+                failures
                     .iter()
                     .map(|f| format!("{} [{}]: {}", f.kind.name(), f.model, f.detail))
                     .collect::<Vec<_>>()
             );
-            assert!(out.dynamic_len > 0);
+            assert!(coverage.edges() > 0);
         }
     }
 

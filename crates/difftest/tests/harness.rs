@@ -1,23 +1,32 @@
 //! End-to-end tests for the differential fuzzing harness: clean campaigns,
-//! worker-count independence, forced-failure shrinking, and artifact
-//! round-trips.
+//! worker-count independence, the random trial stream, forced-failure
+//! shrinking, and artifact round-trips.
 
+use ci_core::ArchRef;
 use ci_difftest::{
-    check_program, run_fuzz, run_locked, shrink, silence_panics, trial_seed, Artifact, FuzzOptions,
-    ShrinkStats, TrialSpec,
+    check_program, run_campaign, run_locked, shrink, silence_panics, trial_seed, Artifact,
+    FuzzMode, FuzzOptions, FuzzSummary, ShrinkStats, TrialSpec,
 };
+use ci_obs::CoverageSignature;
 use ci_workloads::random_structured;
+
+/// A random-mode campaign of `iters` trials from `seed` on `workers` threads.
+fn random_campaign(seed: u64, iters: u64, workers: usize) -> FuzzSummary {
+    run_campaign(&FuzzOptions {
+        seed,
+        iters: Some(iters),
+        workers,
+        mode: FuzzMode::Random,
+        ..FuzzOptions::default()
+    })
+    .expect("in-memory campaign cannot fail")
+}
 
 #[test]
 fn fuzz_campaign_seed1_is_clean() {
     // A slice of the acceptance campaign (`fuzz --iters 200 --seed 1`): every
     // trial must pass every lockstep and dominance check.
-    let summary = run_fuzz(&FuzzOptions {
-        seed: 1,
-        iters: Some(40),
-        workers: 2,
-        ..FuzzOptions::default()
-    });
+    let summary = random_campaign(1, 40, 2);
     assert_eq!(summary.trials, 40);
     assert!(
         summary.clean(),
@@ -33,26 +42,37 @@ fn fuzz_campaign_seed1_is_clean() {
 #[test]
 fn campaigns_are_worker_count_independent() {
     // Trial i always derives from trial_seed(seed, i), so the set of
-    // explored trials — and therefore the findings — cannot depend on the
-    // worker pool's size or scheduling.
-    let run = |workers| {
-        run_fuzz(&FuzzOptions {
-            seed: 77,
-            iters: Some(12),
-            workers,
-            ..FuzzOptions::default()
-        })
-    };
-    let solo = run(1);
-    let pool = run(4);
+    // explored trials — and therefore the findings and the coverage —
+    // cannot depend on the worker pool's size or scheduling.
+    let solo = random_campaign(77, 12, 1);
+    let pool = random_campaign(77, 12, 4);
     assert_eq!(solo.trials, pool.trials);
     assert_eq!(solo.failed, pool.failed);
-    let seeds =
-        |s: &ci_difftest::FuzzSummary| s.artifacts.iter().map(|a| a.trial_seed).collect::<Vec<_>>();
+    assert_eq!(solo.edges, pool.edges);
+    let seeds = |s: &FuzzSummary| s.artifacts.iter().map(|a| a.trial_seed).collect::<Vec<_>>();
     assert_eq!(seeds(&solo), seeds(&pool));
-    // And the per-trial seeds themselves are pure functions of (seed, i).
-    for i in 0..12 {
-        assert_eq!(trial_seed(77, i), trial_seed(77, i));
+}
+
+#[test]
+fn random_campaigns_check_the_trial_seed_stream() {
+    // A random-mode campaign checks exactly the generated programs of
+    // trial_seed(seed, 0..iters): its edges are the union of those trials'
+    // coverage and its failures their failing count, at any worker count.
+    let seed = 0x5EED;
+    let mut union = CoverageSignature::new();
+    let mut failing = 0;
+    for i in 0..24 {
+        let spec = TrialSpec::generate(trial_seed(seed, i));
+        let program = random_structured(spec.program_seed, spec.size_hint);
+        let (failures, coverage) = check_program(&program.emit(), &spec);
+        union.merge(&coverage.signature);
+        failing += u64::from(!failures.is_empty());
+    }
+    for workers in [1, 4] {
+        let summary = random_campaign(seed, 24, workers);
+        assert_eq!(summary.trials, 24);
+        assert_eq!(summary.edges, union.count(), "{workers} workers");
+        assert_eq!(summary.failed, failing, "{workers} workers");
     }
 }
 
@@ -64,11 +84,11 @@ fn coverage_campaigns_are_worker_count_independent() {
     // corpus snapshot) and merge at round barriers in index order, making
     // the whole trajectory a pure function of the options.
     let run = |workers| {
-        ci_difftest::run_campaign(&FuzzOptions {
+        run_campaign(&FuzzOptions {
             seed: 0xC07E,
             iters: Some(18),
             workers,
-            mode: ci_difftest::FuzzMode::Coverage,
+            mode: FuzzMode::Coverage,
             round_size: 6,
             ..FuzzOptions::default()
         })
@@ -95,10 +115,12 @@ fn corrupted_oracle_shrinks_to_a_small_repro() {
     let (_, ci_config) = spec.detailed_variants()[1];
     let fails = |candidate: &ci_workloads::StructuredProgram| {
         let p = candidate.emit();
-        !p.is_empty()
-            && run_locked(&p, ci_config, spec.max_insts, Some(0))
+        !p.is_empty() && {
+            let reference = ArchRef::build(p, spec.max_insts).expect("trial programs trace");
+            run_locked(&reference, ci_config, Some(0), 0)
                 .panic
                 .is_some()
+        }
     };
     assert!(fails(&original), "the corrupt hook must trip the checker");
     let (min, stats): (_, ShrinkStats) = shrink(&original, 2000, fails);
@@ -124,7 +146,7 @@ fn artifacts_round_trip_and_replay() {
     let ts = trial_seed(1, 3);
     let spec = TrialSpec::generate(ts);
     let program = random_structured(spec.program_seed, spec.size_hint);
-    let (_, failures) = check_program(&program.emit(), &spec);
+    let (failures, _) = check_program(&program.emit(), &spec);
     let art = Artifact {
         trial_seed: ts,
         program,
@@ -135,7 +157,7 @@ fn artifacts_round_trip_and_replay() {
     assert_eq!(parsed.trial_seed, art.trial_seed);
     assert_eq!(parsed.program.emit(), art.program.emit());
     let replayed = ci_difftest::replay(&parsed);
-    assert_eq!(replayed.failures.len(), art.failures.len());
+    assert_eq!(replayed.len(), art.failures.len());
 }
 
 #[test]

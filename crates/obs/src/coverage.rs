@@ -111,16 +111,6 @@ impl CoverageSignature {
         novel
     }
 
-    /// How many of `self`'s edges are *not* already present in `map`.
-    #[must_use]
-    pub fn novel_against(&self, map: &CoverageSignature) -> usize {
-        self.words
-            .iter()
-            .zip(&map.words)
-            .map(|(s, m)| (s & !m).count_ones() as usize)
-            .sum()
-    }
-
     /// Indices of all set bits, ascending.
     #[must_use]
     pub fn bits(&self) -> Vec<u32> {
@@ -324,7 +314,6 @@ mod tests {
         let mut b = CoverageSignature::new();
         b.insert(2);
         b.insert(3);
-        assert_eq!(b.novel_against(&a), 1);
         assert_eq!(a.merge(&b), 1);
         assert_eq!(a.count(), 3);
         assert_eq!(a.merge(&b), 0);

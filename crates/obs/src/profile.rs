@@ -4,12 +4,10 @@
 //! [`crate::NoopProbe`]), and [`SpanProfiler`] the real sink that aggregates
 //! named scopes into a call tree with host-time totals and call counts.
 //!
-//! The aggregated tree exports three ways:
+//! The aggregated tree exports two ways:
 //!
 //! * [`SpanProfiler::text_summary`] — a flame-style indented text report
 //!   (total time, share of the root, self time, call count per node);
-//! * [`SpanProfiler::to_json`] — the nested tree through the hand-rolled
-//!   [`crate::json`] writer, for machine-readable reports;
 //! * [`SpanProfiler::chrome_trace`] — a Chrome `trace_event` document
 //!   (`chrome://tracing` / Perfetto). Because the profiler stores
 //!   *aggregates*, not raw events, timestamps are synthesized: each node is
@@ -213,33 +211,6 @@ impl SpanProfiler {
         out
     }
 
-    fn node_json(&self, idx: usize) -> JsonValue {
-        let n = &self.nodes[idx];
-        let children: Vec<JsonValue> = n.children.iter().map(|&c| self.node_json(c)).collect();
-        JsonValue::obj([
-            ("name", JsonValue::from(n.name)),
-            ("calls", n.calls.into()),
-            ("total_us", (n.total_ns / 1_000).into()),
-            ("self_us", (self.self_ns(idx) / 1_000).into()),
-            ("children", JsonValue::Arr(children)),
-        ])
-    }
-
-    /// The aggregated tree as nested JSON:
-    /// `{"total_us":..,"spans":[{name,calls,total_us,self_us,children},..]}`.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let spans: Vec<JsonValue> = self.nodes[0]
-            .children
-            .iter()
-            .map(|&c| self.node_json(c))
-            .collect();
-        JsonValue::obj([
-            ("total_us", JsonValue::from(self.total().as_micros() as u64)),
-            ("spans", JsonValue::Arr(spans)),
-        ])
-    }
-
     /// A Chrome `trace_event` document of the aggregated tree.
     ///
     /// One complete (`"ph":"X"`) event per node; children are laid out
@@ -416,21 +387,6 @@ mod tests {
         // Children are indented under the parent.
         let fetch_line = text.lines().find(|l| l.contains("fetch")).unwrap();
         assert!(fetch_line.starts_with("  "));
-    }
-
-    #[test]
-    fn json_tree_round_trips_and_nests() {
-        let mut p = SpanProfiler::new();
-        p.enter("run");
-        busy(&mut p, "fetch");
-        p.exit();
-        let v = p.to_json();
-        let back = parse(&v.render()).expect("tree JSON parses");
-        let spans = back.get("spans").unwrap().as_array().unwrap();
-        assert_eq!(spans[0].get("name").unwrap().as_str(), Some("run"));
-        let kids = spans[0].get("children").unwrap().as_array().unwrap();
-        assert_eq!(kids[0].get("name").unwrap().as_str(), Some("fetch"));
-        assert_eq!(kids[0].get("calls").unwrap().as_i64(), Some(1));
     }
 
     #[test]

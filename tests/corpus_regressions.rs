@@ -26,7 +26,7 @@
 
 use ci_core::{CompletionModel, Preemption, RepredictMode};
 use ci_difftest::{
-    check_program_cov, silence_panics, trial_seed, Corpus, CorpusEntry, SeedOrigin, TrialSpec,
+    check_program, silence_panics, trial_seed, Corpus, CorpusEntry, SeedOrigin, TrialSpec,
 };
 use ci_workloads::random_structured;
 use std::path::Path;
@@ -136,7 +136,7 @@ fn regression_corpus_replays_clean() {
             .unwrap_or_else(|| panic!("corpus is missing regression entry {name}"));
         assert_eq!(entry.origin, SeedOrigin::Regression);
         let spec = TrialSpec::generate(entry.trial_seed);
-        let (_, failures, cov) = check_program_cov(&entry.program.emit(), &spec);
+        let (failures, cov) = check_program(&entry.program.emit(), &spec);
         assert!(
             failures.is_empty(),
             "regression entry {name} (trial seed {:#018x}) no longer replays clean:\n{}",
@@ -196,7 +196,7 @@ fn regenerate_regression_corpus() {
         used.push(seed);
         let spec = TrialSpec::generate(seed);
         let program = random_structured(spec.program_seed, spec.size_hint);
-        let (_, failures, cov) = check_program_cov(&program.emit(), &spec);
+        let (failures, cov) = check_program(&program.emit(), &spec);
         assert!(
             failures.is_empty(),
             "{name}: seed {seed:#018x} must replay clean before it can be blessed"

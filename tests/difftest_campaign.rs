@@ -1,17 +1,19 @@
 //! Differential lockstep campaign guarding the data-oriented core rewrite.
 //!
-//! Two layers:
+//! Two layers, both run by every `cargo test`:
 //!
-//! - [`regression_trial_seeds_stay_clean`] always runs: four hard-coded
-//!   trial seeds covering the configuration corners where selective squash,
-//!   preemption, and completion-model interactions historically hid bugs.
-//! - [`lockstep_campaign_2k_trials`] is `#[ignore]`d and run explicitly
-//!   (`cargo test -q --release --test difftest_campaign -- --ignored`) by
-//!   the CI fuzz step: 2000 generated trials, each checking the three
-//!   detailed machines and six idealized models in lockstep against the
-//!   functional emulator.
+//! - [`regression_trial_seeds_stay_clean`]: four hard-coded trial seeds
+//!   covering the configuration corners where selective squash, preemption,
+//!   and completion-model interactions historically hid bugs.
+//! - [`lockstep_campaign_2k_trials`]: a random-mode `run_campaign` of 2000
+//!   generated trials, each checking the three detailed machines and six
+//!   idealized models in lockstep against the functional emulator (a few
+//!   seconds on two cores under the test profile).
 
-use ci_difftest::{run_fuzz, run_trial, silence_panics, trial_seed, FuzzOptions, TrialSpec};
+use ci_difftest::{
+    check_program, run_campaign, silence_panics, trial_seed, FuzzMode, FuzzOptions, TrialSpec,
+};
+use ci_workloads::random_structured;
 
 /// Campaign seed; trial `i` uses `trial_seed(CAMPAIGN_SEED, i)`.
 const CAMPAIGN_SEED: u64 = 0xD1FF_7E57;
@@ -43,11 +45,12 @@ fn regression_trial_seeds_stay_clean() {
     silence_panics();
     for &t in &REGRESSION_TRIAL_SEEDS {
         let spec = TrialSpec::generate(t);
-        let out = run_trial(&spec);
+        let program = random_structured(spec.program_seed, spec.size_hint);
+        let (failures, _) = check_program(&program.emit(), &spec);
         assert!(
-            out.failures.is_empty(),
+            failures.is_empty(),
             "regression trial seed {t:#018x} ({spec:?}) failed:\n{}",
-            out.failures
+            failures
                 .iter()
                 .map(|f| format!("[{:?}/{}] {}", f.kind, f.model, f.detail))
                 .collect::<Vec<_>>()
@@ -71,15 +74,16 @@ fn regression_seeds_come_from_the_campaign_stream() {
 }
 
 #[test]
-#[ignore = "2k-trial campaign (~minutes); CI runs it as a dedicated step"]
 fn lockstep_campaign_2k_trials() {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let summary = run_fuzz(&FuzzOptions {
+    let summary = run_campaign(&FuzzOptions {
         seed: CAMPAIGN_SEED,
         iters: Some(2000),
         workers,
+        mode: FuzzMode::Random,
         ..FuzzOptions::default()
-    });
+    })
+    .expect("in-memory campaign cannot fail");
     assert_eq!(summary.trials, 2000);
     assert!(
         summary.clean(),
