@@ -20,13 +20,14 @@
 //! byte-identical across worker counts and cache states); `--md` writes
 //! the markdown writeup.
 
-use ci_bench::cli::Cli;
+use ci_bench::cli::{end_quietly_on_closed_pipe, Cli};
 use control_independence::ci_explore::{ExploreReport, Sweep};
 use control_independence::ci_runner::SweepSummary;
 use control_independence::experiments::Scale;
 use std::path::PathBuf;
 
 fn main() {
+    end_quietly_on_closed_pipe();
     let mut cli = Cli::from_args("explore");
     let mut spec: Option<String> = None;
     let mut out: Option<PathBuf> = None;

@@ -17,11 +17,15 @@
 //! fuzz --replay ARTIFACT.json
 //! ```
 //!
+//! `--replay` runs no campaign, so any campaign flag with it is a usage
+//! error rather than a silently ignored request.
+//!
 //! Exit status: 0 when every trial passed and no coverage floor was
 //! violated, 1 on findings (failing trials, reproduced replays, coverage
 //! below the baseline floor), 2 on harness errors (usage, unreadable
 //! corpus/baseline/artifact files).
 
+use ci_bench::cli::end_quietly_on_closed_pipe;
 use ci_difftest::{replay, run_campaign, Artifact, FuzzMode, FuzzOptions, FuzzSummary};
 use control_independence::ci_obs::json;
 use std::path::PathBuf;
@@ -63,8 +67,12 @@ fn parse_args() -> Cli {
     let mut baseline = None;
     let mut iters_given = false;
     let mut mode = None;
+    let mut campaign_flag = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if a != "--replay" {
+            campaign_flag.get_or_insert_with(|| a.clone());
+        }
         let mut value = |name: &str| -> String {
             args.next().unwrap_or_else(|| {
                 eprintln!("{name} requires a value");
@@ -118,6 +126,10 @@ fn parse_args() -> Cli {
                 usage();
             }
         }
+    }
+    if let (Some(_), Some(flag)) = (&replay, campaign_flag) {
+        eprintln!("--replay runs no campaign, so it takes no `{flag}`");
+        usage();
     }
     // A corpus only makes sense when coverage guides, so `--corpus-dir`
     // alone selects coverage mode and contradicts `--mode random`.
@@ -205,6 +217,7 @@ fn check_baseline(path: &PathBuf, summary: &FuzzSummary) -> Result<bool, String>
 }
 
 fn main() {
+    end_quietly_on_closed_pipe();
     let cli = parse_args();
     if let Some(path) = &cli.replay {
         std::process::exit(replay_artifact(path));

@@ -18,7 +18,7 @@
 //! Host times go to stdout and the trace only: the `--json` export holds
 //! the probed run's metrics, which are deterministic.
 
-use ci_bench::cli::{usage_error, Cli, SHARED_FLAGS};
+use ci_bench::cli::{end_quietly_on_closed_pipe, usage_error, Cli, SHARED_FLAGS};
 use control_independence::ci_cfg::{Cfg, PostDominators, ReconvergenceMap};
 use control_independence::prelude::*;
 use std::time::Instant;
@@ -26,9 +26,10 @@ use std::time::Instant;
 const SEED: u64 = 0x5EED;
 
 fn main() {
+    end_quietly_on_closed_pipe();
     let mut cli = Cli::from_args("inspect");
     // --timeline <first>:<last> (0-based retired-instruction indices).
-    let timeline_range = cli.take_flag("--timeline").map(|spec| {
+    let timeline_range = cli.rest.take_flag("--timeline").map(|spec| {
         let parts: Vec<&str> = spec.splitn(2, ':').collect();
         let parsed = match parts.as_slice() {
             [a, b] => a.parse().ok().zip(b.parse().ok()),
@@ -39,12 +40,12 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let trace_path = cli.take_flag("--trace");
+    let trace_path = cli.rest.take_flag("--trace");
     let usage = format!(
         "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] [--trace PATH] \
          {SHARED_FLAGS}"
     );
-    let args = cli.positionals(2, &usage);
+    let args = cli.rest.positionals(2, &usage);
     let name = args.first().cloned().unwrap_or_else(|| "go".to_owned());
     let instructions: u64 = match args.get(1) {
         None => 30_000,

@@ -10,16 +10,17 @@
 //! tables serially from the memo, so stdout and the `--json` export are
 //! byte-identical for every worker count.
 
-use ci_bench::cli::{usage_error, Cli, SHARED_FLAGS};
+use ci_bench::cli::{end_quietly_on_closed_pipe, usage_error, Cli, SHARED_FLAGS};
 use control_independence::experiments as ex;
 
 fn main() {
+    end_quietly_on_closed_pipe();
     let mut cli = Cli::from_args("repro");
     let usage = format!(
         "usage: repro <name> {SHARED_FLAGS}\nnames: {}",
         ex::NAMES.join(" ")
     );
-    let name = match cli.positionals(1, &usage) {
+    let name = match cli.rest.positionals(1, &usage) {
         [name] if ex::NAMES.contains(&name.as_str()) => name.clone(),
         _ => usage_error(&usage),
     };

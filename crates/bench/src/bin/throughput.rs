@@ -14,8 +14,10 @@
 //! ```
 //!
 //! Every run is a *fresh* `simulate()` call (never memoized) because the
-//! subject under measurement is the simulator itself. `--reps <n>` takes the
-//! best of `n` runs per cell to shave scheduler noise. The gate compares the
+//! subject under measurement is the simulator itself, so `throughput` runs
+//! no cell engine and rejects the engine's flags (`--workers`,
+//! `--cache-dir`, `--timing`, `--metrics`) with a usage error. `--reps
+//! <n>` takes the best of `n` runs per cell to shave scheduler noise. The gate compares the
 //! geometric-mean MIPS of the sweep against `--baseline <path>` and exits
 //! nonzero on a drop of more than 10%; `UPDATE_BENCH_BASELINE=1` rewrites
 //! the baseline instead of comparing. The baseline is a *ratchet*:
@@ -33,11 +35,12 @@
 //! `SpanProfiler`. Each row's ratio to the plain run is the cost of that
 //! sink; the geomean and the gate read only the sweep.
 
-use ci_bench::cli::{Cli, SHARED_FLAGS};
+use ci_bench::cli::{end_quietly_on_closed_pipe, Args, Emitter};
 use control_independence::ci_obs::{json, JsonValue};
 use control_independence::experiments::Scale;
 use control_independence::prelude::*;
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The gate fails when the geomean falls more than this far below the
@@ -87,9 +90,11 @@ struct Sample {
 }
 
 fn main() {
-    let mut cli = Cli::from_args("throughput");
+    end_quietly_on_closed_pipe();
+    let mut args = Args::from_env();
+    let mut out = Emitter::new(args.take_flag("--json").map(PathBuf::from));
     let scale = Scale::from_env_or_exit();
-    let reps: u32 = cli
+    let reps: u32 = args
         .take_flag("--reps")
         .map(|v| {
             v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
@@ -98,10 +103,10 @@ fn main() {
             })
         })
         .unwrap_or(1);
-    let baseline_path = cli.take_flag("--baseline");
-    cli.positionals(
+    let baseline_path = args.take_flag("--baseline");
+    args.positionals(
         0,
-        &format!("usage: throughput [--reps N] [--baseline PATH] {SHARED_FLAGS}"),
+        "usage: throughput [--reps N] [--baseline PATH] [--json PATH]",
     );
 
     let instructions = scale.instructions;
@@ -219,7 +224,7 @@ fn main() {
             ),
         ),
     ]);
-    cli.out.raw_jsonl(&report.render());
+    out.raw_jsonl(&report.render());
 
     let mut gate_failed = false;
     if let Some(path) = baseline_path {
@@ -273,7 +278,7 @@ fn main() {
         }
     }
 
-    cli.finish();
+    out.finish();
     if gate_failed {
         std::process::exit(1);
     }

@@ -8,7 +8,8 @@
 //! speed and gates it against a baseline. Scale the experiments with
 //! `CI_REPRO_INSTRUCTIONS=<n>`.
 //!
-//! Every binary accepts the shared flags of [`cli::Cli`]:
+//! `repro`, `explore` and `inspect` run their cells on one engine and
+//! accept the shared flags of [`cli::Cli`]:
 //!
 //! - `--json <path>`: export every printed table as JSON lines.
 //! - `--workers <n>` / `-j <n>`: simulation-cell parallelism (default:
@@ -21,6 +22,10 @@
 //!   its workload, configuration family, and cache disposition.
 //! - `--metrics <path>`: export a run-level `run_metrics/v1` JSON report
 //!   (cache hit rates, pool utilization, slowest cells).
+//!
+//! `throughput` runs no engine and takes only `--json` of these; `fuzz` has
+//! flags of its own. A closed stdout ends any of the five quietly
+//! ([`cli::end_quietly_on_closed_pipe`]).
 
 pub mod cli {
     //! Shared command-line plumbing for the experiment binaries: the common
@@ -97,15 +102,90 @@ pub mod cli {
         std::process::exit(2);
     }
 
+    /// Let a closed stdout end the process quietly, as it ends `cat`:
+    /// `repro all | head -2` then stops at its next write instead of
+    /// panicking with exit status 101. Rust starts a program with `SIGPIPE`
+    /// ignored, so a write to a closed pipe fails and `println!` panics;
+    /// this restores the signal's default action, which ends the process
+    /// without a word. Call it first in `main`.
+    pub fn end_quietly_on_closed_pipe() {
+        #[cfg(unix)]
+        {
+            extern "C" {
+                fn signal(signum: std::os::raw::c_int, handler: usize) -> usize;
+            }
+            const SIGPIPE: std::os::raw::c_int = 13;
+            const SIG_DFL: usize = 0;
+            // SAFETY: restoring a signal's default action installs no code
+            // of this process as a handler; `signal` has no other effect.
+            unsafe {
+                signal(SIGPIPE, SIG_DFL);
+            }
+        }
+    }
+
+    /// Arguments no parser has taken yet: a binary takes its own flags out
+    /// with [`Args::take_flag`], then reads the positionals.
+    #[derive(Debug, Default)]
+    pub struct Args(Vec<String>);
+
+    impl Args {
+        /// The process arguments after the program name.
+        #[must_use]
+        pub fn from_env() -> Args {
+            Args(std::env::args().skip(1).collect())
+        }
+
+        /// Take one `flag <value>` pair out and return the value. Exits 2
+        /// when the flag has no value.
+        pub fn take_flag(&mut self, flag: &str) -> Option<String> {
+            let i = self.0.iter().position(|a| a == flag)?;
+            if i + 1 >= self.0.len() {
+                eprintln!("{flag} requires an argument");
+                std::process::exit(2);
+            }
+            let value = self.0.remove(i + 1);
+            self.0.remove(i);
+            Some(value)
+        }
+
+        /// The positional arguments, once the binary has taken its own
+        /// flags out. A leftover flag or a positional past the first `max`
+        /// is a usage error: it is named on stderr with the `usage` line,
+        /// and the process exits 2.
+        pub fn positionals(&self, max: usize, usage: &str) -> &[String] {
+            let stray = self
+                .0
+                .iter()
+                .find(|a| a.starts_with('-'))
+                .or_else(|| self.0.get(max));
+            if let Some(arg) = stray {
+                eprintln!("unexpected argument `{arg}`");
+                usage_error(usage);
+            }
+            &self.0
+        }
+    }
+
+    impl IntoIterator for Args {
+        type Item = String;
+        type IntoIter = std::vec::IntoIter<String>;
+
+        fn into_iter(self) -> Self::IntoIter {
+            self.0.into_iter()
+        }
+    }
+
     /// Parsed shared flags: the table [`Emitter`], the cell [`Engine`], and
-    /// the remaining positional arguments.
+    /// the remaining arguments.
     pub struct Cli {
         /// Table printer / JSON-lines exporter (`--json`).
         pub out: Emitter,
         /// Memoizing parallel cell executor (`--workers`, `--cache-dir`).
         pub engine: Engine,
-        /// Positional arguments left after flag parsing.
-        pub rest: Vec<String>,
+        /// The binary's own flags and positionals, left after the shared
+        /// flags.
+        pub rest: Args,
         timing: Option<PathBuf>,
         metrics: Option<PathBuf>,
         label: &'static str,
@@ -149,42 +229,11 @@ pub mod cli {
             Cli {
                 out: Emitter::new(json),
                 engine: Engine::new(opts),
-                rest,
+                rest: Args(rest),
                 timing,
                 metrics,
                 label,
             }
-        }
-
-        /// Take one of the binary's own `flag <value>` pairs out of
-        /// [`Cli::rest`] and return the value. Exits 2 when the flag has no
-        /// value.
-        pub fn take_flag(&mut self, flag: &str) -> Option<String> {
-            let i = self.rest.iter().position(|a| a == flag)?;
-            if i + 1 >= self.rest.len() {
-                eprintln!("{flag} requires an argument");
-                std::process::exit(2);
-            }
-            let value = self.rest.remove(i + 1);
-            self.rest.remove(i);
-            Some(value)
-        }
-
-        /// The positional arguments, once the binary has taken its own
-        /// flags out of [`Cli::rest`]. A leftover flag or a positional past
-        /// the first `max` is a usage error: it is named on stderr with the
-        /// `usage` line, and the process exits 2.
-        pub fn positionals(&self, max: usize, usage: &str) -> &[String] {
-            let stray = self
-                .rest
-                .iter()
-                .find(|a| a.starts_with('-'))
-                .or_else(|| self.rest.get(max));
-            if let Some(arg) = stray {
-                eprintln!("unexpected argument `{arg}`");
-                usage_error(usage);
-            }
-            &self.rest
         }
 
         /// Print `table` (and stage its JSON export).

@@ -215,6 +215,58 @@ fn zero_workers_and_zero_round_size_exit_two() {
 }
 
 #[test]
+fn replay_takes_no_campaign_flag() {
+    let dir = scratch("replay-flags");
+    let artifact = dir.join("artifact.json");
+    let clean = ci_difftest::Artifact {
+        trial_seed: 1,
+        program: control_independence::ci_workloads::random_structured(5, 30),
+        shrink: ci_difftest::ShrinkStats::default(),
+        failures: Vec::new(),
+    };
+    std::fs::write(&artifact, clean.render()).unwrap();
+    let replay = || {
+        let mut cmd = fuzz_bin();
+        cmd.arg("--replay").arg(&artifact);
+        cmd
+    };
+    let out = replay().output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("replay passed"));
+
+    let corpus = dir.join("corpus");
+    let report = dir.join("cov.json");
+    let out = replay()
+        .args(["--iters", "50", "--mode", "coverage"])
+        .arg("--corpus-dir")
+        .arg(&corpus)
+        .arg("--coverage-report")
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert_usage_error(&out, "--replay runs no campaign, so it takes no `--iters`");
+    assert!(!corpus.exists() && !report.exists());
+    // Before `--replay` too, and each campaign flag on its own.
+    for (flag, value) in [
+        ("--seed", "7"),
+        ("--time-budget", "1"),
+        ("--workers", "2"),
+        ("--round-size", "3"),
+        ("--baseline", "base.json"),
+        ("--artifact-dir", "arts"),
+        ("--shrink-budget", "5"),
+    ] {
+        let out = fuzz_bin()
+            .args([flag, value, "--replay"])
+            .arg(&artifact)
+            .output()
+            .unwrap();
+        assert_usage_error(&out, &format!("so it takes no `{flag}`"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn unreadable_replay_exits_two() {
     let out = fuzz_bin()
         .args(["--replay", "/no/such/artifact.json"])

@@ -1,6 +1,7 @@
 //! End-to-end checks of the performance-observability binaries: `inspect`
 //! (span tree + Chrome trace) and `throughput` (MIPS report, probe overhead
-//! and baseline gate), plus the shared `--metrics` run report.
+//! and baseline gate), plus the `--metrics` run report of a binary that runs
+//! cells.
 
 use control_independence::ci_obs::json::{parse, JsonValue};
 use std::path::PathBuf;
@@ -86,12 +87,9 @@ fn inspect_once() -> f64 {
 #[test]
 fn throughput_emits_mips_report_and_gates_on_baseline() {
     let json = tmp("throughput.json");
-    let metrics = tmp("metrics.json");
     let output = Command::new(env!("CARGO_BIN_EXE_throughput"))
         .arg("--json")
         .arg(&json)
-        .arg("--metrics")
-        .arg(&metrics)
         .env("CI_REPRO_INSTRUCTIONS", "2000")
         .output()
         .expect("throughput binary runs");
@@ -136,19 +134,6 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
     }
     std::fs::remove_file(&json).ok();
 
-    // The --metrics report is valid run_metrics/v1 JSON.
-    let metrics_text = std::fs::read_to_string(&metrics).expect("--metrics wrote the file");
-    std::fs::remove_file(&metrics).ok();
-    let m = parse(metrics_text.trim()).expect("metrics is valid JSON");
-    assert_eq!(
-        m.get("schema").and_then(JsonValue::as_str),
-        Some("run_metrics/v1")
-    );
-    assert_eq!(
-        m.get("binary").and_then(JsonValue::as_str),
-        Some("throughput")
-    );
-
     // The gate passes a baseline no run can miss and trips on one no run
     // can reach; a baseline from a real run would make the outcome depend
     // on the host's speed between the two runs.
@@ -181,6 +166,59 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
         "gate should trip on a 1e9 MIPS baseline"
     );
     assert!(String::from_utf8_lossy(&tripped.stderr).contains("THROUGHPUT REGRESSION"));
+}
+
+#[test]
+fn throughput_rejects_the_engine_flags() {
+    // `throughput` runs no cell engine: these flags would configure or
+    // report an engine that does nothing.
+    for flag in ["--metrics", "--timing", "--cache-dir", "--workers"] {
+        let target = tmp(&format!("rejected{flag}"));
+        let value = if flag == "--workers" {
+            "2".into()
+        } else {
+            target.display().to_string()
+        };
+        let output = Command::new(env!("CARGO_BIN_EXE_throughput"))
+            .args([flag, value.as_str()])
+            .env("CI_REPRO_INSTRUCTIONS", "2000")
+            .output()
+            .expect("throughput binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} ran the sweep");
+        assert!(stderr.contains(&format!("unexpected argument `{flag}`")));
+        assert!(
+            stderr.contains("usage: throughput [--reps N] [--baseline PATH] [--json PATH]\n"),
+            "{stderr}"
+        );
+        assert!(!target.exists(), "{flag} wrote {}", target.display());
+    }
+}
+
+#[test]
+fn repro_writes_a_run_metrics_report() {
+    let metrics = tmp("metrics.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--workers", "1", "--metrics"])
+        .arg(&metrics)
+        .env("CI_REPRO_INSTRUCTIONS", "2000")
+        .output()
+        .expect("repro binary runs");
+    assert!(
+        output.status.success(),
+        "repro failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).expect("--metrics wrote the file");
+    std::fs::remove_file(&metrics).ok();
+    let m = parse(text.trim()).expect("metrics is valid JSON");
+    assert_eq!(
+        m.get("schema").and_then(JsonValue::as_str),
+        Some("run_metrics/v1")
+    );
+    assert_eq!(m.get("binary").and_then(JsonValue::as_str), Some("repro"));
+    assert!(m.get("cells_computed").and_then(JsonValue::as_i64).unwrap() > 0);
 }
 
 #[test]

@@ -246,6 +246,21 @@ pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
     Ok(v)
 }
 
+/// Parse the JSON string that starts at byte `at` of `text`: its unescaped
+/// value and the offset just past its closing quote. [`parse`] reads every
+/// string the same way.
+///
+/// # Errors
+/// Returns [`ParseError`] if no well-formed string starts at `at`.
+pub fn parse_string_at(text: &str, at: usize) -> Result<(String, usize), ParseError> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: at,
+    };
+    let s = p.string()?;
+    Ok((s, p.pos))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -2,14 +2,14 @@
 //! work-stealing pool, with optional on-disk persistence and per-cell
 //! timing exported through the `ci-obs` metrics layer.
 
-use crate::cell::{fnv1a, CellKey, CellOutput, CellSpec, InputKey, SharedInputs};
+use crate::cell::{CellKey, CellOutput, CellSpec, InputKey, SharedInputs};
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
-use crate::persist::{output_from_json, output_to_json, quarantine_cache_file};
+use crate::persist::{quarantine_cache_file, write_cache_line};
 use crate::pool::{run_batch, run_batch_catching, PoolStats};
 use ci_core::{PipelineConfig, Sensitivity, Stats};
 use ci_ideal::{IdealResult, ModelKind};
-use ci_obs::json::{parse, JsonValue};
+use ci_obs::json::JsonValue;
 use ci_obs::{MetricsProbe, Registry};
 use ci_workloads::Workload;
 use std::collections::{HashMap, HashSet};
@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+pub use crate::persist::{parse_cache_line, render_cache_line};
 
 /// File name of the persisted cell cache inside `--cache-dir`.
 pub const CACHE_FILE: &str = "cells.jsonl";
@@ -272,7 +274,10 @@ impl Engine {
         let mut seen = HashSet::new();
         let jobs: Vec<_> = specs
             .iter()
-            .filter(|s| seen.insert(s.canonical()) && self.cells.peek(&s.canonical()).is_none())
+            .filter(|s| {
+                let key = s.canonical();
+                self.cells.peek_with(&key, |_| ()).is_none() && seen.insert(key)
+            })
             .map(|spec| {
                 let spec = spec.clone();
                 move || {
@@ -661,18 +666,23 @@ impl Engine {
             return Ok(());
         };
         std::fs::create_dir_all(dir)?;
-        // One output at a time: cloning every output, or rendering the
-        // whole file into one string, would set the run's peak memory.
+        // One line at a time, rendered from the memo without cloning the
+        // output: rendering the whole file into one string would set the
+        // run's peak memory.
         let mut specs = self.cells.keys();
         specs.sort_unstable();
         let path = dir.join(CACHE_FILE);
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
         {
             let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            let mut line = String::new();
             for spec in specs {
-                let output = self.cells.peek(&spec).expect("a listed cell is ready");
-                f.write_all(render_cache_line(&spec, &output).as_bytes())?;
-                f.write_all(b"\n")?;
+                line.clear();
+                self.cells
+                    .peek_with(&spec, |output| write_cache_line(&mut line, &spec, output))
+                    .expect("a listed cell is ready");
+                line.push('\n');
+                f.write_all(line.as_bytes())?;
             }
             f.into_inner()
                 .map_err(std::io::IntoInnerError::into_error)?
@@ -680,45 +690,4 @@ impl Engine {
         }
         std::fs::rename(&tmp, &path)
     }
-}
-
-/// Render one cache line: spec, content-hash key, output payload, and a
-/// checksum over the rendered payload so tampered values are detected.
-#[must_use]
-pub fn render_cache_line(spec: &str, output: &CellOutput) -> String {
-    let payload = output_to_json(output);
-    let rendered = payload.render();
-    let line = JsonValue::obj([
-        (
-            "key",
-            JsonValue::Str(format!("{:016x}", fnv1a(spec.as_bytes()))),
-        ),
-        ("spec", JsonValue::Str(spec.to_owned())),
-        (
-            "check",
-            JsonValue::Str(format!("{:016x}", fnv1a(rendered.as_bytes()))),
-        ),
-        ("output", payload),
-    ]);
-    line.render()
-}
-
-/// Parse and validate one cache line; `None` if the line is corrupt in any
-/// way (unparsable JSON, key/spec mismatch, payload checksum mismatch, or a
-/// malformed output object).
-#[must_use]
-pub fn parse_cache_line(line: &str) -> Option<(String, CellOutput)> {
-    let v = parse(line).ok()?;
-    let spec = v.get("spec")?.as_str()?.to_owned();
-    let key = v.get("key")?.as_str()?;
-    if format!("{:016x}", fnv1a(spec.as_bytes())) != key {
-        return None;
-    }
-    let payload = v.get("output")?;
-    let check = v.get("check")?.as_str()?;
-    if format!("{:016x}", fnv1a(payload.render().as_bytes())) != check {
-        return None;
-    }
-    let output = output_from_json(payload)?;
-    Some((spec, output))
 }

@@ -82,8 +82,14 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// The value for `key` if it is already computed.
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<V> {
+        self.peek_with(key, V::clone)
+    }
+
+    /// `f` applied to the value for `key`, if it is already computed,
+    /// without cloning the value. `f` runs under the memo's lock.
+    pub fn peek_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         match self.inner.lock().unwrap().get(key) {
-            Some(Slot::Ready(v)) => Some(v.clone()),
+            Some(Slot::Ready(v)) => Some(f(v)),
             _ => None,
         }
     }

@@ -1,215 +1,485 @@
-//! Lossless JSON (de)serialization of [`CellOutput`] for the on-disk cache.
+//! The on-disk cell cache: the codec of its lines, and the quarantine for
+//! files that hold corrupt ones.
 //!
-//! Every integer is rendered as a *decimal string*, not a JSON number: the
-//! hand-rolled parser in `ci-obs` stores numbers as `f64`, which would
-//! silently round counters and hash keys above 2^53 (the same reason the
-//! difftest artifacts hex-encode seeds). Strings round-trip exactly.
+//! # Layout
 //!
-//! The deserializers are deliberately paranoid: any missing field, type
-//! mismatch, unparsable integer, or structurally inconsistent histogram
-//! yields `None`, which the cache layer treats as a corrupt line — rejected,
-//! recomputed, and rewritten, never trusted.
+//! A cache file holds one line per cell, a JSON object with four members
+//! in this order:
+//!
+//! ```text
+//! {"key":"<16 hex>","spec":"<spec>","check":"<16 hex>","output":<payload>}
+//! ```
+//!
+//! - `key` is the FNV-1a hash of the spec, as 16 lowercase hex digits.
+//! - `spec` is the cell's canonical text, escaped as `ci_obs::json` escapes
+//!   every string.
+//! - `check` is the FNV-1a hash of the payload's bytes exactly as they
+//!   stand in the line.
+//! - `output` is the payload: `{"kind":"detailed","stats":{..},"probe":{..}}`,
+//!   `{"kind":"ideal","cycles":..,..}` or `{"kind":"study","len":..,..}`,
+//!   with each struct's fields in the order of its field list below.
+//!
+//! Every integer is a quoted decimal string, not a JSON number: a reader
+//! that holds numbers as `f64` (as `ci_obs::json` does) would round
+//! counters and hashes above 2^53. A histogram's `sum` is a `u128`.
+//!
+//! # Reading
+//!
+//! [`parse_cache_line`] walks a line's bytes once and accepts exactly the
+//! bytes [`render_cache_line`] produces: the members in the writer's order,
+//! no whitespace, and integers without a sign or leading zeros. It rejects
+//! a line whose key does not hash its spec or whose checksum does not hash
+//! its payload, a histogram or counter array that `Histogram::from_raw_parts`
+//! or `EventCounters::from_raw_counts` refuse, a TFR entry that is not
+//! three integers, an unknown `kind`, an integer too large for its field
+//! (`u64`, or `u128` for `sum`), and a truncated line or trailing bytes.
+//! The engine counts a rejected line as corrupt, quarantines its file and
+//! recomputes the cell: a cached output is never trusted without these
+//! checks.
+//!
+//! The JSON-tree reader this codec replaced hashed the payload only after
+//! rendering it again, so it also accepted a hand-edited line with added
+//! whitespace or swapped members. Such a line is now corrupt. Every line a
+//! writer produced still loads: the checksum over the payload as written
+//! equals the old checksum over the rendered payload.
 
 use crate::cell::{fnv1a, CellOutput};
 use ci_bpred::TfrStats;
 use ci_core::Stats;
-use ci_obs::json::JsonValue;
+use ci_ideal::IdealResult;
+use ci_obs::json::{parse_string_at, write_escaped};
 use ci_obs::{EventCounters, Histogram, MetricsProbe};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-fn u(v: u64) -> JsonValue {
-    JsonValue::Str(v.to_string())
-}
-
-fn u128s(v: u128) -> JsonValue {
-    JsonValue::Str(v.to_string())
-}
-
-fn get_u64(obj: &JsonValue, key: &str) -> Option<u64> {
-    obj.get(key)?.as_str()?.parse().ok()
-}
-
-fn get_u128(obj: &JsonValue, key: &str) -> Option<u128> {
-    obj.get(key)?.as_str()?.parse().ok()
-}
-
-fn arr_u64(values: &[u64]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| u(v)).collect())
-}
-
-fn get_arr_u64(obj: &JsonValue, key: &str) -> Option<Vec<u64>> {
-    obj.get(key)?
-        .as_array()?
-        .iter()
-        .map(|v| v.as_str()?.parse().ok())
-        .collect()
-}
-
-fn tfr_to_json(t: &TfrStats) -> JsonValue {
-    JsonValue::Arr(
-        t.entries()
-            .into_iter()
-            .map(|(k, tc, fc)| JsonValue::Arr(vec![u(k), u(tc), u(fc)]))
-            .collect(),
-    )
-}
-
-fn tfr_from_json(v: &JsonValue) -> Option<TfrStats> {
-    let entries: Option<Vec<(u64, u64, u64)>> = v
-        .as_array()?
-        .iter()
-        .map(|e| {
-            let e = e.as_array()?;
-            if e.len() != 3 {
-                return None;
-            }
-            Some((
-                e[0].as_str()?.parse().ok()?,
-                e[1].as_str()?.parse().ok()?,
-                e[2].as_str()?.parse().ok()?,
-            ))
-        })
-        .collect();
-    Some(TfrStats::from_entries(entries?))
-}
-
-fn hist_to_json(h: &Histogram) -> JsonValue {
-    let (bounds, counts, total, sum, min, max) = h.raw_parts();
-    JsonValue::obj([
-        ("bounds", arr_u64(bounds)),
-        ("counts", arr_u64(counts)),
-        ("total", u(total)),
-        ("sum", u128s(sum)),
-        ("min", u(min)),
-        ("max", u(max)),
-    ])
-}
-
-fn hist_from_json(v: &JsonValue) -> Option<Histogram> {
-    Histogram::from_raw_parts(
-        &get_arr_u64(v, "bounds")?,
-        &get_arr_u64(v, "counts")?,
-        get_u64(v, "total")?,
-        get_u128(v, "sum")?,
-        get_u64(v, "min")?,
-        get_u64(v, "max")?,
-    )
-}
-
-fn stats_to_json(s: &Stats) -> JsonValue {
-    JsonValue::obj([
-        ("cycles", u(s.cycles)),
-        ("retired", u(s.retired)),
-        ("predictions", u(s.predictions)),
-        ("arch_mispredictions", u(s.arch_mispredictions)),
-        ("recoveries", u(s.recoveries)),
-        ("reconverged", u(s.reconverged)),
-        ("removed", u(s.removed)),
-        ("inserted", u(s.inserted)),
-        ("ci_instructions", u(s.ci_instructions)),
-        ("ci_renamed", u(s.ci_renamed)),
-        ("ci_evicted", u(s.ci_evicted)),
-        ("preemptions", u(s.preemptions)),
-        ("restart_cycles", u(s.restart_cycles)),
-        ("fetch_saved", u(s.fetch_saved)),
-        ("work_saved", u(s.work_saved)),
-        ("work_discarded", u(s.work_discarded)),
-        ("only_fetched", u(s.only_fetched)),
-        ("issues", u(s.issues)),
-        ("mem_violation_reissues", u(s.mem_violation_reissues)),
-        ("reg_violation_reissues", u(s.reg_violation_reissues)),
-        ("true_mispredictions", u(s.true_mispredictions)),
-        ("false_mispredictions", u(s.false_mispredictions)),
-        ("tfr_static", tfr_to_json(&s.tfr_static)),
-        ("tfr_dynamic_pc", tfr_to_json(&s.tfr_dynamic_pc)),
-        ("tfr_dynamic_xor", tfr_to_json(&s.tfr_dynamic_xor)),
-        ("cache_hits", u(s.cache_hits)),
-        ("cache_misses", u(s.cache_misses)),
-    ])
-}
-
-fn stats_from_json(v: &JsonValue) -> Option<Stats> {
-    Some(Stats {
-        cycles: get_u64(v, "cycles")?,
-        retired: get_u64(v, "retired")?,
-        predictions: get_u64(v, "predictions")?,
-        arch_mispredictions: get_u64(v, "arch_mispredictions")?,
-        recoveries: get_u64(v, "recoveries")?,
-        reconverged: get_u64(v, "reconverged")?,
-        removed: get_u64(v, "removed")?,
-        inserted: get_u64(v, "inserted")?,
-        ci_instructions: get_u64(v, "ci_instructions")?,
-        ci_renamed: get_u64(v, "ci_renamed")?,
-        ci_evicted: get_u64(v, "ci_evicted")?,
-        preemptions: get_u64(v, "preemptions")?,
-        restart_cycles: get_u64(v, "restart_cycles")?,
-        fetch_saved: get_u64(v, "fetch_saved")?,
-        work_saved: get_u64(v, "work_saved")?,
-        work_discarded: get_u64(v, "work_discarded")?,
-        only_fetched: get_u64(v, "only_fetched")?,
-        issues: get_u64(v, "issues")?,
-        mem_violation_reissues: get_u64(v, "mem_violation_reissues")?,
-        reg_violation_reissues: get_u64(v, "reg_violation_reissues")?,
-        true_mispredictions: get_u64(v, "true_mispredictions")?,
-        false_mispredictions: get_u64(v, "false_mispredictions")?,
-        tfr_static: tfr_from_json(v.get("tfr_static")?)?,
-        tfr_dynamic_pc: tfr_from_json(v.get("tfr_dynamic_pc")?)?,
-        tfr_dynamic_xor: tfr_from_json(v.get("tfr_dynamic_xor")?)?,
-        cache_hits: get_u64(v, "cache_hits")?,
-        cache_misses: get_u64(v, "cache_misses")?,
-    })
-}
-
-fn probe_to_json(p: &MetricsProbe) -> JsonValue {
-    JsonValue::obj([
-        ("counters", arr_u64(p.counters.raw_counts())),
-        ("restart_length", hist_to_json(&p.restart_length)),
-        ("restart_inserted", hist_to_json(&p.restart_inserted)),
-        ("recon_distance", hist_to_json(&p.recon_distance)),
-        ("occupancy", hist_to_json(&p.occupancy)),
-        ("reissues", hist_to_json(&p.reissues)),
-    ])
-}
-
-fn probe_from_json(v: &JsonValue) -> Option<MetricsProbe> {
-    Some(MetricsProbe {
-        counters: EventCounters::from_raw_counts(&get_arr_u64(v, "counters")?)?,
-        restart_length: hist_from_json(v.get("restart_length")?)?,
-        restart_inserted: hist_from_json(v.get("restart_inserted")?)?,
-        recon_distance: hist_from_json(v.get("recon_distance")?)?,
-        occupancy: hist_from_json(v.get("occupancy")?)?,
-        reissues: hist_from_json(v.get("reissues")?)?,
-    })
-}
-
-/// Serialize a cell output. Round-trips exactly through
-/// [`output_from_json`].
+/// Render one cache line, without its newline.
 #[must_use]
-pub fn output_to_json(o: &CellOutput) -> JsonValue {
-    match o {
-        CellOutput::Detailed { stats, probe } => JsonValue::obj([
-            ("kind", JsonValue::from("detailed")),
-            ("stats", stats_to_json(stats)),
-            ("probe", probe_to_json(probe)),
-        ]),
-        CellOutput::Ideal(r) => JsonValue::obj([
-            ("kind", JsonValue::from("ideal")),
-            ("cycles", u(r.cycles)),
-            ("retired", u(r.retired)),
-            ("mispredictions", u(r.mispredictions)),
-            ("wrong_path_fetched", u(r.wrong_path_fetched)),
-            ("evictions", u(r.evictions)),
-        ]),
-        CellOutput::Study {
-            len,
-            predictions,
-            mispredictions,
-        } => JsonValue::obj([
-            ("kind", JsonValue::from("study")),
-            ("len", u(*len)),
-            ("predictions", u(*predictions)),
-            ("mispredictions", u(*mispredictions)),
-        ]),
+pub fn render_cache_line(spec: &str, output: &CellOutput) -> String {
+    let mut line = String::new();
+    write_cache_line(&mut line, spec, output);
+    line
+}
+
+/// Append the cache line of `spec` and its `output` to `out`, without a
+/// newline.
+pub(crate) fn write_cache_line(out: &mut String, spec: &str, output: &CellOutput) {
+    let _ = write!(
+        out,
+        "{{\"key\":\"{:016x}\",\"spec\":",
+        fnv1a(spec.as_bytes())
+    );
+    write_escaped(spec, out);
+    out.push_str(",\"check\":\"");
+    // The checksum covers the payload, which follows it: write a
+    // placeholder and fill it in once the payload is written.
+    let check = out.len();
+    out.push_str("0000000000000000\",\"output\":");
+    let payload = out.len();
+    output.put(out);
+    let sum = format!("{:016x}", fnv1a(&out.as_bytes()[payload..]));
+    out.replace_range(check..check + sum.len(), &sum);
+    out.push('}');
+}
+
+/// Parse and check one cache line; `None` if the line is corrupt in any
+/// way the module docs list.
+#[must_use]
+pub fn parse_cache_line(line: &str) -> Option<(String, CellOutput)> {
+    let mut c = Cursor {
+        bytes: line.as_bytes(),
+        pos: 0,
+    };
+    c.lit("{\"key\":")?;
+    let key = c.hex()?;
+    c.lit(",\"spec\":")?;
+    let (spec, end) = parse_string_at(line, c.pos).ok()?;
+    c.pos = end;
+    if fnv1a(spec.as_bytes()) != key {
+        return None;
+    }
+    c.lit(",\"check\":")?;
+    let check = c.hex()?;
+    c.lit(",\"output\":")?;
+    let payload = c.pos;
+    let output = CellOutput::take(&mut c)?;
+    if fnv1a(&c.bytes[payload..c.pos]) != check {
+        return None;
+    }
+    c.lit("}")?;
+    (c.pos == c.bytes.len()).then_some((spec, output))
+}
+
+/// A read position in one cache line.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Step over `s`, which must come next.
+    fn lit(&mut self, s: &str) -> Option<()> {
+        let end = self.pos + s.len();
+        (self.bytes.get(self.pos..end)? == s.as_bytes()).then(|| self.pos = end)
+    }
+
+    /// The bytes of a quoted string without escapes.
+    fn word(&mut self) -> Option<&'a [u8]> {
+        self.lit("\"")?;
+        let len = self.bytes[self.pos..].iter().position(|&b| b == b'"')?;
+        let word = &self.bytes[self.pos..self.pos + len];
+        self.pos += len + 1;
+        Some(word)
+    }
+
+    /// The digits of a quoted decimal as the writer prints it: at least
+    /// one, and no leading zero.
+    fn digits(&mut self) -> Option<&'a [u8]> {
+        let digits = self.word()?;
+        let canonical = match digits {
+            [] => false,
+            [b'0', _, ..] => false,
+            _ => digits.iter().all(u8::is_ascii_digit),
+        };
+        canonical.then_some(digits)
+    }
+
+    /// A quoted hash of exactly 16 lowercase hex digits.
+    fn hex(&mut self) -> Option<u64> {
+        let digits = self.word()?;
+        if digits.len() != 16 {
+            return None;
+        }
+        digits.iter().try_fold(0u64, |v, &d| {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            Some((v << 4) | u64::from(nibble))
+        })
+    }
+
+    /// Read `[item,item,..]`, calling `item` at each element.
+    fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.lit("[")?;
+        if self.lit("]").is_some() {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if self.lit("]").is_some() {
+                return Some(());
+            }
+            self.lit(",")?;
+        }
+    }
+}
+
+/// A value as a cache line holds it: [`Field::put`] writes it and
+/// [`Field::take`] reads back exactly what `put` wrote.
+trait Field: Sized {
+    fn put(&self, out: &mut String);
+    fn take(c: &mut Cursor<'_>) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<u64> {
+        c.digits()?.iter().try_fold(0u64, |v, &d| {
+            v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })
+    }
+}
+
+impl Field for u128 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<u128> {
+        c.digits()?.iter().try_fold(0u128, |v, &d| {
+            v.checked_mul(10)?.checked_add(u128::from(d - b'0'))
+        })
+    }
+}
+
+fn put_list<T: Field>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.put(out);
+    }
+    out.push(']');
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut String) {
+        put_list(out, self);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<Vec<T>> {
+        let mut items = Vec::new();
+        c.list(|c| {
+            items.push(T::take(c)?);
+            Some(())
+        })?;
+        Some(items)
+    }
+}
+
+impl Field for Cow<'_, [u64]> {
+    fn put(&self, out: &mut String) {
+        put_list(out, self);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<Self> {
+        Vec::take(c).map(Cow::Owned)
+    }
+}
+
+/// A TFR entry `(key, true, false)`: an array of exactly three integers.
+impl Field for (u64, u64, u64) {
+    fn put(&self, out: &mut String) {
+        put_list(out, &[self.0, self.1, self.2]);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<Self> {
+        c.lit("[")?;
+        let key = u64::take(c)?;
+        c.lit(",")?;
+        let t = u64::take(c)?;
+        c.lit(",")?;
+        let f = u64::take(c)?;
+        c.lit("]")?;
+        Some((key, t, f))
+    }
+}
+
+impl Field for TfrStats {
+    fn put(&self, out: &mut String) {
+        self.entries().put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<TfrStats> {
+        Vec::take(c).map(TfrStats::from_entries)
+    }
+}
+
+impl Field for EventCounters {
+    fn put(&self, out: &mut String) {
+        put_list(out, self.raw_counts());
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<EventCounters> {
+        EventCounters::from_raw_counts(&Vec::take(c)?)
+    }
+}
+
+/// A struct whose fields are the members of one JSON object.
+trait Record: Sized {
+    /// Write the members, the first after `open` (`{` to start an object,
+    /// `,` to go on with one).
+    fn put_members(&self, out: &mut String, open: &str);
+    /// Read the members [`Record::put_members`] wrote.
+    fn take_members(c: &mut Cursor<'_>, open: &str) -> Option<Self>;
+}
+
+impl<T: Record> Field for T {
+    fn put(&self, out: &mut String) {
+        self.put_members(out, "{");
+        out.push('}');
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<T> {
+        let v = T::take_members(c, "{")?;
+        c.lit("}")?;
+        Some(v)
+    }
+}
+
+/// Write the locals `a, b, ..` as the members `"a":<a>,"b":<b>,..`, the
+/// first after `open`.
+macro_rules! put_members {
+    ($out:ident, $open:expr; $first:ident $(, $rest:ident)*) => {
+        $out.push_str($open);
+        $out.push_str(concat!("\"", stringify!($first), "\":"));
+        Field::put($first, $out);
+        $(
+            $out.push_str(concat!(",\"", stringify!($rest), "\":"));
+            Field::put($rest, $out);
+        )*
+    };
+}
+
+/// Read the members [`put_members!`] wrote into locals of the same names.
+macro_rules! take_members {
+    ($c:ident, $open:expr; $first:ident $(, $rest:ident)*) => {
+        $c.lit($open)?;
+        $c.lit(concat!("\"", stringify!($first), "\":"))?;
+        let $first = Field::take($c)?;
+        $(
+            $c.lit(concat!(",\"", stringify!($rest), "\":"))?;
+            let $rest = Field::take($c)?;
+        )*
+    };
+}
+
+/// Implement [`Record`] for a struct from its one field list, which is also
+/// the order of its members in a line. The writer destructures and the
+/// reader builds the struct from the same list, so a field missing from it
+/// does not compile.
+macro_rules! record {
+    ($ty:ident $(<$lt:lifetime>)? { $($field:ident),+ $(,)? }) => {
+        impl Record for $ty$(<$lt>)? {
+            fn put_members(&self, out: &mut String, open: &str) {
+                let $ty { $($field),+ } = self;
+                put_members!(out, open; $($field),+);
+            }
+
+            fn take_members(c: &mut Cursor<'_>, open: &str) -> Option<Self> {
+                take_members!(c, open; $($field),+);
+                Some($ty { $($field),+ })
+            }
+        }
+    };
+}
+
+record!(Stats {
+    cycles,
+    retired,
+    predictions,
+    arch_mispredictions,
+    recoveries,
+    reconverged,
+    removed,
+    inserted,
+    ci_instructions,
+    ci_renamed,
+    ci_evicted,
+    preemptions,
+    restart_cycles,
+    fetch_saved,
+    work_saved,
+    work_discarded,
+    only_fetched,
+    issues,
+    mem_violation_reissues,
+    reg_violation_reissues,
+    true_mispredictions,
+    false_mispredictions,
+    tfr_static,
+    tfr_dynamic_pc,
+    tfr_dynamic_xor,
+    cache_hits,
+    cache_misses,
+});
+
+record!(MetricsProbe {
+    counters,
+    restart_length,
+    restart_inserted,
+    recon_distance,
+    occupancy,
+    reissues,
+});
+
+record!(IdealResult {
+    cycles,
+    retired,
+    mispredictions,
+    wrong_path_fetched,
+    evictions,
+});
+
+/// [`Histogram::raw_parts`] under the names a line gives them.
+struct HistogramParts<'a> {
+    bounds: Cow<'a, [u64]>,
+    counts: Cow<'a, [u64]>,
+    total: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+record!(HistogramParts<'_> {
+    bounds,
+    counts,
+    total,
+    sum,
+    min,
+    max,
+});
+
+impl Field for Histogram {
+    fn put(&self, out: &mut String) {
+        let (bounds, counts, total, sum, min, max) = self.raw_parts();
+        HistogramParts {
+            bounds: Cow::Borrowed(bounds),
+            counts: Cow::Borrowed(counts),
+            total,
+            sum,
+            min,
+            max,
+        }
+        .put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<Histogram> {
+        let p = HistogramParts::take(c)?;
+        Histogram::from_raw_parts(&p.bounds, &p.counts, p.total, p.sum, p.min, p.max)
+    }
+}
+
+/// The payload: the `kind`, then the output's members in the same object.
+impl Field for CellOutput {
+    fn put(&self, out: &mut String) {
+        match self {
+            CellOutput::Detailed { stats, probe } => {
+                out.push_str("{\"kind\":\"detailed\"");
+                put_members!(out, ","; stats, probe);
+            }
+            CellOutput::Ideal(result) => {
+                out.push_str("{\"kind\":\"ideal\"");
+                result.put_members(out, ",");
+            }
+            CellOutput::Study {
+                len,
+                predictions,
+                mispredictions,
+            } => {
+                out.push_str("{\"kind\":\"study\"");
+                put_members!(out, ","; len, predictions, mispredictions);
+            }
+        }
+        out.push('}');
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Option<CellOutput> {
+        c.lit("{\"kind\":")?;
+        let output = match c.word()? {
+            b"detailed" => {
+                take_members!(c, ","; stats, probe);
+                CellOutput::Detailed { stats, probe }
+            }
+            b"ideal" => CellOutput::Ideal(IdealResult::take_members(c, ",")?),
+            b"study" => {
+                take_members!(c, ","; len, predictions, mispredictions);
+                CellOutput::Study {
+                    len,
+                    predictions,
+                    mispredictions,
+                }
+            }
+            _ => return None,
+        };
+        c.lit("}")?;
+        Some(output)
     }
 }
 
@@ -247,33 +517,26 @@ pub fn quarantine_cache_file(
     Ok(qpath)
 }
 
-/// Deserialize a cell output; `None` on any malformed input.
-#[must_use]
-pub fn output_from_json(v: &JsonValue) -> Option<CellOutput> {
-    match v.get("kind")?.as_str()? {
-        "detailed" => Some(CellOutput::Detailed {
-            stats: stats_from_json(v.get("stats")?)?,
-            probe: probe_from_json(v.get("probe")?)?,
-        }),
-        "ideal" => Some(CellOutput::Ideal(ci_ideal::IdealResult {
-            cycles: get_u64(v, "cycles")?,
-            retired: get_u64(v, "retired")?,
-            mispredictions: get_u64(v, "mispredictions")?,
-            wrong_path_fetched: get_u64(v, "wrong_path_fetched")?,
-            evictions: get_u64(v, "evictions")?,
-        })),
-        "study" => Some(CellOutput::Study {
-            len: get_u64(v, "len")?,
-            predictions: get_u64(v, "predictions")?,
-            mispredictions: get_u64(v, "mispredictions")?,
-        }),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put<T: Field>(v: &T) -> String {
+        let mut out = String::new();
+        v.put(&mut out);
+        out
+    }
+
+    /// Read a whole `text` as one `T`; `None` if it does not parse or has
+    /// bytes left over.
+    fn take<T: Field>(text: &str) -> Option<T> {
+        let mut c = Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let v = T::take(&mut c)?;
+        (c.pos == text.len()).then_some(v)
+    }
 
     #[test]
     fn histogram_round_trips_including_overflow_and_extremes() {
@@ -281,14 +544,13 @@ mod tests {
         for v in [0, 1, 3, 17, u64::MAX] {
             h.record(v);
         }
-        let back = hist_from_json(&hist_to_json(&h)).unwrap();
-        assert_eq!(h, back);
+        assert_eq!(take::<Histogram>(&put(&h)), Some(h));
     }
 
     #[test]
     fn empty_histogram_round_trips() {
         let h = Histogram::linear(16, 4);
-        assert_eq!(h, hist_from_json(&hist_to_json(&h)).unwrap());
+        assert_eq!(take::<Histogram>(&put(&h)), Some(h));
     }
 
     #[test]
@@ -297,26 +559,92 @@ mod tests {
         t.record(u64::MAX - 1, true);
         t.record(u64::MAX - 1, false);
         t.record(3, false);
-        assert_eq!(t, tfr_from_json(&tfr_to_json(&t)).unwrap());
+        assert_eq!(take::<TfrStats>(&put(&t)), Some(t));
+        assert_eq!(take::<TfrStats>("[]"), Some(TfrStats::new()));
+    }
+
+    #[test]
+    fn tfr_entries_of_other_than_three_integers_are_rejected() {
+        for bad in [
+            "[[\"1\",\"2\"]]",
+            "[[\"1\",\"2\",\"3\",\"4\"]]",
+            "[[]]",
+            "[\"1\"]",
+        ] {
+            assert!(take::<TfrStats>(bad).is_none(), "accepted {bad}");
+        }
     }
 
     #[test]
     fn inconsistent_histogram_parts_are_rejected() {
-        let mut bad = hist_to_json(&Histogram::linear(1, 2));
-        // Corrupt the total so it disagrees with the counts.
-        if let JsonValue::Obj(pairs) = &mut bad {
-            for (k, v) in pairs {
-                if k == "total" {
-                    *v = JsonValue::Str("999".into());
-                }
-            }
-        }
-        assert!(hist_from_json(&bad).is_none());
+        let text = put(&Histogram::linear(1, 2));
+        assert!(text.contains("\"total\":\"0\""), "{text}");
+        // A total that disagrees with the counts.
+        let bad = text.replace("\"total\":\"0\"", "\"total\":\"999\"");
+        assert!(take::<Histogram>(&bad).is_none());
+    }
+
+    #[test]
+    fn counters_of_the_wrong_length_are_rejected() {
+        let counters = EventCounters::default();
+        let text = put(&counters);
+        assert_eq!(take::<EventCounters>(&text), Some(counters));
+        let short = text.replacen("\"0\",", "", 1);
+        assert!(take::<EventCounters>(&short).is_none());
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let v = JsonValue::obj([("kind", JsonValue::from("nonsense"))]);
-        assert!(output_from_json(&v).is_none());
+        assert!(take::<CellOutput>("{\"kind\":\"nonsense\"}").is_none());
+        let study = CellOutput::Study {
+            len: 1,
+            predictions: 2,
+            mispredictions: 3,
+        };
+        let text = put(&study);
+        assert_eq!(take::<CellOutput>(&text), Some(study));
+        assert!(take::<CellOutput>(&text.replace("study", "studies")).is_none());
+    }
+
+    #[test]
+    fn integers_are_canonical_decimals() {
+        assert_eq!(take::<u64>("\"0\""), Some(0));
+        assert_eq!(take::<u64>("\"18446744073709551615\""), Some(u64::MAX));
+        assert_eq!(
+            take::<u128>("\"18446744073709551616\""),
+            Some(u128::from(u64::MAX) + 1)
+        );
+        for bad in [
+            "\"18446744073709551616\"",
+            "\"\"",
+            "\"07\"",
+            "\"+7\"",
+            "\"-7\"",
+            "\" 7\"",
+            "\"7",
+            "7",
+        ] {
+            assert!(take::<u64>(bad).is_none(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn hashes_are_sixteen_lowercase_hex_digits() {
+        let mut c = Cursor {
+            bytes: b"\"00000000000000ff\"",
+            pos: 0,
+        };
+        assert_eq!(c.hex(), Some(0xff));
+        for bad in [
+            "\"00000000000000FF\"",
+            "\"0000000000000ff\"",
+            "\"000000000000000ff\"",
+        ] {
+            let mut c = Cursor {
+                bytes: bad.as_bytes(),
+                pos: 0,
+            };
+            assert!(c.hex().is_none(), "accepted {bad}");
+        }
     }
 }
