@@ -102,7 +102,7 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
     let report = parse(report_text.trim()).expect("report is valid JSON");
     assert_eq!(
         report.get("schema").and_then(JsonValue::as_str),
-        Some("bench_throughput/v1")
+        Some("bench_throughput/v2")
     );
     let results = report
         .get("results")
@@ -111,15 +111,13 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
     assert_eq!(results.len(), 15, "5 workloads x 3 configs");
     for r in results {
         assert!(r.get("retired").and_then(JsonValue::as_i64).unwrap() > 0);
-        assert!(r.get("mips").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        for positive in ["mips", "ref_us", "insts_per_ref"] {
+            assert!(r.get(positive).and_then(JsonValue::as_f64).unwrap() > 0.0);
+        }
     }
-    assert!(
-        report
-            .get("geomean_mips")
-            .and_then(JsonValue::as_f64)
-            .unwrap()
-            > 0.0
-    );
+    for positive in ["geomean_mips", "geomean_insts_per_ref"] {
+        assert!(report.get(positive).and_then(JsonValue::as_f64).unwrap() > 0.0);
+    }
     let probes = report
         .get("probe_overhead")
         .and_then(JsonValue::as_array)
@@ -141,7 +139,7 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
         let baseline = tmp(&format!("baseline_{geomean}.json"));
         std::fs::write(
             &baseline,
-            format!(r#"{{"schema":"bench_throughput/v1","geomean_mips":{geomean}}}"#),
+            format!(r#"{{"schema":"bench_throughput/v2","geomean_insts_per_ref":{geomean}}}"#),
         )
         .expect("write baseline");
         let output = Command::new(env!("CARGO_BIN_EXE_throughput"))
@@ -156,14 +154,14 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
     let passed = gate("1e-9");
     assert!(
         passed.status.success(),
-        "gate should pass a 1e-9 MIPS baseline: {}",
+        "gate should pass a 1e-9 baseline: {}",
         String::from_utf8_lossy(&passed.stderr)
     );
     assert!(String::from_utf8_lossy(&passed.stdout).contains("gate: ok"));
     let tripped = gate("1e9");
     assert!(
         !tripped.status.success(),
-        "gate should trip on a 1e9 MIPS baseline"
+        "gate should trip on a 1e9 baseline"
     );
     assert!(String::from_utf8_lossy(&tripped.stderr).contains("THROUGHPUT REGRESSION"));
 }
@@ -224,20 +222,43 @@ fn repro_writes_a_run_metrics_report() {
 #[test]
 fn baseline_rebless_writes_the_current_report() {
     let base = tmp("rebless.json");
-    let output = Command::new(env!("CARGO_BIN_EXE_throughput"))
-        .arg("--baseline")
-        .arg(&base)
-        .env("CI_REPRO_INSTRUCTIONS", "2000")
-        .env("UPDATE_BENCH_BASELINE", "1")
-        .output()
-        .expect("throughput binary runs");
+    let rebless = || {
+        Command::new(env!("CARGO_BIN_EXE_throughput"))
+            .arg("--baseline")
+            .arg(&base)
+            .env("CI_REPRO_INSTRUCTIONS", "2000")
+            .env("UPDATE_BENCH_BASELINE", "1")
+            .output()
+            .expect("throughput binary runs")
+    };
+    // A baseline in absolute MIPS is in another unit: it is replaced
+    // however high its number.
+    std::fs::write(
+        &base,
+        r#"{"schema":"bench_throughput/v1","geomean_mips":1e9}"#,
+    )
+    .expect("write baseline");
+    let output = rebless();
     assert!(
         output.status.success(),
         "re-bless failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let text = std::fs::read_to_string(&base).expect("baseline written");
-    std::fs::remove_file(&base).ok();
     let v = parse(text.trim()).expect("baseline is valid JSON");
-    assert!(v.get("geomean_mips").and_then(JsonValue::as_f64).unwrap() > 0.0);
+    assert!(
+        v.get("geomean_insts_per_ref")
+            .and_then(JsonValue::as_f64)
+            .unwrap()
+            > 0.0
+    );
+    // The ratchet refuses to lower a baseline in the same unit.
+    let high = r#"{"schema":"bench_throughput/v2","geomean_insts_per_ref":1e9}"#;
+    std::fs::write(&base, high).expect("write baseline");
+    let refused = rebless();
+    let kept = std::fs::read_to_string(&base).expect("baseline kept");
+    std::fs::remove_file(&base).ok();
+    assert!(!refused.status.success(), "the ratchet must refuse");
+    assert!(String::from_utf8_lossy(&refused.stderr).contains("refusing to ratchet"));
+    assert_eq!(kept, high);
 }

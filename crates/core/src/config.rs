@@ -3,7 +3,7 @@
 use ci_isa::LatencyModel;
 
 /// How the processor recovers from branch mispredictions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SquashMode {
     /// Complete squash of everything younger than the branch (the BASE
     /// machine).
@@ -23,7 +23,7 @@ pub(crate) const LOOPS: u8 = 4;
 pub(crate) const LTB: u8 = 8;
 
 /// How reconvergent points are identified (Section 3.2.1 / Appendix A.5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ReconStrategy {
     /// Use the compiler's immediate post-dominator information.
     pub postdominator: bool,
@@ -73,7 +73,7 @@ impl ReconStrategy {
 }
 
 /// How the redispatch sequence is timed (Section 4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RedispatchMode {
     /// Redispatch proceeds at the machine's dispatch width per cycle (CI).
     Pipelined,
@@ -83,7 +83,7 @@ pub enum RedispatchMode {
 }
 
 /// Preemption policy for overlapping restart sequences (Appendix A.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Preemption {
     /// The sequencer tracks only the most recent restart; preempted restarts
     /// squash from the old reconvergent point.
@@ -94,7 +94,7 @@ pub enum Preemption {
 }
 
 /// Branch completion models of Appendix A.2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CompletionModel {
     /// Branches complete in order with fully non-speculative operands.
     NonSpec,
@@ -123,7 +123,7 @@ impl CompletionModel {
 }
 
 /// Re-predict sequence policy (Appendix A.3.2 / Figure 13).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RepredictMode {
     /// No re-predict sequences (CI-NR).
     None,
@@ -136,7 +136,7 @@ pub enum RepredictMode {
 }
 
 /// Data-cache model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CacheModel {
     /// Perfect cache with a fixed access latency (the Section 2 setup).
     Ideal {
@@ -175,7 +175,7 @@ impl CacheModel {
 }
 
 /// Full configuration of the detailed execution-driven simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Machine width: peak fetch/dispatch/issue/retire per cycle (paper: 16).
     pub width: usize,

@@ -35,7 +35,7 @@
 //! (a 16-wide fetch group plus one).
 
 use ci_core::{CompletionModel, PipelineConfig, Preemption, ReconStrategy};
-use ci_runner::CellSpec;
+use ci_runner::{CellSpec, SpecHash};
 use ci_workloads::Workload;
 use std::collections::HashSet;
 use std::fmt;
@@ -445,12 +445,12 @@ impl Sweep {
     }
 
     /// Expand the sweep into simulation cells at this scale: every config ×
-    /// every swept workload, duplicates removed (the engine would dedup
-    /// anyway, but the count reported to the user should be honest).
+    /// every swept workload, duplicates removed by value (the engine would
+    /// dedup anyway, but the count reported to the user should be honest).
     #[must_use]
     pub fn expand(&self, instructions: u64, seed: u64) -> Vec<CellSpec> {
         let mut cells = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::with_hasher(SpecHash::default());
         for config in self.configs() {
             for &workload in &self.workloads {
                 let cell = CellSpec::Detailed {
@@ -459,7 +459,7 @@ impl Sweep {
                     instructions,
                     seed,
                 };
-                if seen.insert(cell.canonical()) {
+                if seen.insert(cell.clone()) {
                     cells.push(cell);
                 }
             }

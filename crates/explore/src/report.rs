@@ -11,7 +11,7 @@ use crate::grammar::{MachineKind, Sweep, SweepConfig};
 use crate::pareto::{knee, pareto_front, FrontStats};
 use ci_obs::json::JsonValue;
 use ci_report::{f, pct, Table};
-use ci_runner::Engine;
+use ci_runner::{CellSpec, Engine};
 use ci_workloads::Workload;
 
 /// One measured grid point: a configuration × workload with its reduced
@@ -110,8 +110,13 @@ impl ExploreReport {
                 let points: Vec<ExplorePoint> = configs
                     .iter()
                     .map(|&config| {
-                        let stats =
-                            engine.stats(workload, config.pipeline_config(), instructions, seed);
+                        let output = engine.output(&CellSpec::Detailed {
+                            workload,
+                            config: config.pipeline_config(),
+                            instructions,
+                            seed,
+                        });
+                        let stats = output.stats();
                         let mispred_rate = if stats.predictions == 0 {
                             0.0
                         } else {

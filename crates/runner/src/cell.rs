@@ -7,9 +7,13 @@
 //! the result across all referencing tables (e.g. the window-256 CI run
 //! feeds Tables 2-4, Figure 8 and the distributions table).
 //!
-//! Cells are keyed by a canonical text form of the spec, plus an FNV-1a
-//! content hash of that form used as a compact identifier in the on-disk
-//! cache and in timing reports.
+//! A cell's identity in the process is its spec *value*: the engine's memo
+//! hashes specs field by field with [`SpecHasher`] and compares them with
+//! `Eq`. The spec's canonical text form is its identity outside the
+//! process: the `spec` member of a line in the on-disk cache, and (through
+//! its FNV-1a hash, the [`CellKey`]) the keys in timing and metrics
+//! reports. Two specs are equal exactly when their canonical texts are, so
+//! both identities name the same cells.
 
 use crate::memo::Memo;
 use ci_core::{ArchRef, Pipeline, PipelineConfig, RedispatchMode, Sensitivity, SquashMode, Stats};
@@ -17,7 +21,8 @@ use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, 
 use ci_isa::Program;
 use ci_obs::{MetricsProbe, NoopProfiler};
 use ci_workloads::{Workload, WorkloadParams};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// 64-bit FNV-1a hash of `bytes` (stable across platforms and runs).
@@ -31,6 +36,60 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A fast hasher for the engine's in-process keys: cell specs, which hash
+/// as some thirty small integers, and their canonical texts. Each 64-bit
+/// word is folded into the state with one 64×64→128-bit multiply, where
+/// SipHash spends a full round per word. It does not resist keys chosen to
+/// collide, and need not: every key comes from the program's own tables,
+/// sweeps and cache file, and a collision costs an extra comparison, never
+/// a wrong cell.
+#[derive(Clone, Copy, Debug)]
+pub struct SpecHasher(u64);
+
+/// Builds a [`SpecHasher`] for hash maps and sets.
+pub type SpecHash = BuildHasherDefault<SpecHasher>;
+
+impl Default for SpecHasher {
+    fn default() -> Self {
+        SpecHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl Hasher for SpecHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Compact content-hash identifier of a cell spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey(pub u64);
@@ -42,7 +101,7 @@ impl fmt::Display for CellKey {
 }
 
 /// One memoizable simulation run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CellSpec {
     /// A detailed execution-driven pipeline run (always probed with a
     /// [`MetricsProbe`]; probed and unprobed runs produce bit-identical
@@ -83,17 +142,27 @@ pub enum CellSpec {
 }
 
 impl CellSpec {
-    /// Canonical text form: the memo key. Two specs collide exactly when
-    /// every simulation-relevant parameter matches.
+    /// Canonical text form: the spec's identity outside the process, as
+    /// the `spec` member of a cache line and (hashed) the key of reports.
+    /// Two specs have the same text exactly when they are equal, that is,
+    /// when every simulation-relevant parameter matches.
     #[must_use]
     pub fn canonical(&self) -> String {
-        match self {
+        let mut text = String::new();
+        self.write_canonical(&mut text);
+        text
+    }
+
+    /// Append [`CellSpec::canonical`] to `out`.
+    pub(crate) fn write_canonical(&self, out: &mut String) {
+        let _ = match self {
             CellSpec::Detailed {
                 workload,
                 config,
                 instructions,
                 seed,
-            } => format!(
+            } => write!(
+                out,
                 "detailed w={} n={instructions} seed={seed:#x} cfg={config:?}",
                 workload.name()
             ),
@@ -103,7 +172,8 @@ impl CellSpec {
                 window,
                 instructions,
                 seed,
-            } => format!(
+            } => write!(
+                out,
                 "ideal w={} n={instructions} seed={seed:#x} model={model:?} window={window}",
                 workload.name()
             ),
@@ -111,11 +181,12 @@ impl CellSpec {
                 workload,
                 instructions,
                 seed,
-            } => format!(
+            } => write!(
+                out,
                 "study w={} n={instructions} seed={seed:#x}",
                 workload.name()
             ),
-        }
+        };
     }
 
     /// Content-hash key of [`CellSpec::canonical`].
@@ -241,8 +312,8 @@ impl CellSpec {
 
 /// The result of one computed cell.
 // Variant sizes are wildly uneven (a detailed run carries full histograms),
-// but outputs live in the memo and are handed out by clone either way —
-// boxing would only move the same bytes to the heap.
+// but outputs live behind an `Arc` in the memo either way — boxing would
+// only add a second allocation.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CellOutput {

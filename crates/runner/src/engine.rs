@@ -2,7 +2,7 @@
 //! work-stealing pool, with optional on-disk persistence and per-cell
 //! timing exported through the `ci-obs` metrics layer.
 
-use crate::cell::{CellKey, CellOutput, CellSpec, InputKey, SharedInputs};
+use crate::cell::{CellKey, CellOutput, CellSpec, InputKey, SharedInputs, SpecHash};
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 use crate::persist::{quarantine_cache_file, write_cache_line};
@@ -12,11 +12,13 @@ use ci_ideal::{IdealResult, ModelKind};
 use ci_obs::json::JsonValue;
 use ci_obs::{MetricsProbe, Registry};
 use ci_workloads::Workload;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub use crate::persist::{parse_cache_line, render_cache_line};
@@ -77,6 +79,27 @@ struct CellTiming {
     served_from: Option<CellKey>,
 }
 
+/// A memoized cell: its output, shared rather than copied, and whether it
+/// came from the disk cache (every request for it is then a `disk_hit`).
+#[derive(Clone)]
+struct Memoized {
+    output: Arc<CellOutput>,
+    from_disk: bool,
+}
+
+/// The verified lines of the disk cache, by spec text, until their specs
+/// are requested.
+#[derive(Default)]
+struct DiskLines {
+    /// A line's output, taken by the first request for its spec. The text
+    /// stays, so a replay frees nothing mid-pass.
+    lines: HashMap<String, Option<Arc<CellOutput>>, SpecHash>,
+    /// Lines whose output no request has taken.
+    waiting: usize,
+    /// The text of the spec being looked up, formatted in place.
+    text: String,
+}
+
 /// A simulated detailed run that later sibling cells — same workload,
 /// budget and seed, another configuration — may be served from: its
 /// configuration and its sensitivity record. Its output stays in the memo
@@ -106,17 +129,22 @@ struct Timing {
 /// *sibling* — same workload, budget and seed — made every configuration
 /// decision the cell's configuration would have made (its
 /// [`Sensitivity`] record [covers](Sensitivity::covers) the cell): the
-/// cell is then served a clone of the sibling's output. A served cell still
-/// counts as computed; [`Engine::cells_served`] counts how many were.
+/// cell then shares the sibling's output. A served cell still counts as
+/// computed; [`Engine::cells_served`] counts how many were.
+///
+/// The memo is keyed by the spec value. A spec's canonical text is
+/// formatted only where it leaves the process: to find the spec's line in
+/// the disk cache on its first request, to write the cache, and in reports.
 pub struct Engine {
     workers: usize,
     cache_dir: Option<PathBuf>,
-    cells: Memo<String, CellOutput>,
+    cells: Memo<CellSpec, Memoized, SpecHash>,
     shared: SharedInputs,
     timing: Mutex<Timing>,
-    /// Canonical specs that were seeded from the disk cache (to classify a
-    /// later hit as `disk_hit` rather than `memo_hit`).
-    disk: Mutex<HashSet<String>>,
+    /// The verified disk-cache lines. The first request for a spec moves
+    /// its output into `cells`; [`Engine::save_cache`] writes back the ones
+    /// never requested.
+    disk: Mutex<DiskLines>,
     /// Simulated detailed runs per (workload, budget, seed), in
     /// registration order.
     siblings: Mutex<HashMap<InputKey, Vec<SiblingRun>>>,
@@ -147,7 +175,7 @@ impl Engine {
                 cells: Vec::new(),
                 pool: PoolReport::default(),
             }),
-            disk: Mutex::new(HashSet::new()),
+            disk: Mutex::new(DiskLines::default()),
             siblings: Mutex::new(HashMap::new()),
             computed: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -271,17 +299,15 @@ impl Engine {
     /// isolating panics when `catching`, and fold the batch's stats into
     /// the run's pool report.
     fn prefetch_batch(&self, specs: &[CellSpec], catching: bool) -> PoolStats {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::with_hasher(SpecHash::default());
         let jobs: Vec<_> = specs
             .iter()
-            .filter(|s| {
-                let key = s.canonical();
-                self.cells.peek_with(&key, |_| ()).is_none() && seen.insert(key)
+            .filter(|&spec| {
+                !self.cells.seed_with(spec, || self.take_from_disk(spec)) && seen.insert(spec)
             })
             .map(|spec| {
-                let spec = spec.clone();
                 move || {
-                    let _ = self.cell(&spec);
+                    let _ = self.output(spec);
                 }
             })
             .collect();
@@ -299,26 +325,44 @@ impl Engine {
         stats
     }
 
-    /// The output of one cell, computed on the calling thread if missing:
-    /// served from a covering sibling run if one was simulated, simulated
-    /// otherwise.
+    /// The output of one cell, computed on the calling thread if missing.
+    /// A copy of [`Engine::output`].
     #[must_use]
     pub fn cell(&self, spec: &CellSpec) -> CellOutput {
-        let canonical = spec.canonical();
+        CellOutput::clone(&self.output(spec))
+    }
+
+    /// The memoized output of one cell, shared rather than copied. A
+    /// missing cell is read from the disk cache if its line was loaded,
+    /// served from a covering sibling run if one was simulated, and
+    /// simulated on the calling thread otherwise.
+    #[must_use]
+    pub fn output(&self, spec: &CellSpec) -> Arc<CellOutput> {
         let started = Instant::now();
         let mut served_from = None;
         let mut record = None;
-        let (out, computed) = self.cells.get_or_compute(canonical.clone(), || {
-            if let Some((source, out)) = self.sibling_output(spec) {
-                served_from = Some(source.key());
-                return out;
+        let (entry, computed) = self.cells.get_or_compute(spec.clone(), || {
+            if let Some(entry) = self.take_from_disk(spec) {
+                return entry;
             }
-            let (out, r) = spec.compute_recorded(&self.shared);
-            record = r;
-            out
+            let output = if let Some((source, output)) = self.sibling_output(spec) {
+                served_from = Some(source.key());
+                output
+            } else {
+                let (output, r) = spec.compute_recorded(&self.shared);
+                record = r;
+                Arc::new(output)
+            };
+            Memoized {
+                output,
+                from_disk: false,
+            }
         });
         let wall = started.elapsed();
-        let disposition = if computed {
+        let disposition = if entry.from_disk {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            "disk_hit"
+        } else if computed {
             self.computed.fetch_add(1, Ordering::Relaxed);
             if served_from.is_some() {
                 self.served.fetch_add(1, Ordering::Relaxed);
@@ -348,11 +392,7 @@ impl Engine {
             "computed"
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if self.disk.lock().unwrap().contains(&canonical) {
-                "disk_hit"
-            } else {
-                "memo_hit"
-            }
+            "memo_hit"
         };
         self.timing.lock().unwrap().cells.push(CellTiming {
             spec: spec.clone(),
@@ -360,12 +400,35 @@ impl Engine {
             disposition,
             served_from,
         });
-        out
+        entry.output
+    }
+
+    /// The memo entry of `spec`'s line in the disk cache, taken from the
+    /// lines no request has reached yet. The spec's text is formatted only
+    /// while such lines remain.
+    fn take_from_disk(&self, spec: &CellSpec) -> Option<Memoized> {
+        let mut disk = self.disk.lock().unwrap();
+        let DiskLines {
+            lines,
+            waiting,
+            text,
+        } = &mut *disk;
+        if *waiting == 0 {
+            return None;
+        }
+        text.clear();
+        spec.write_canonical(text);
+        let output = lines.get_mut(text.as_str())?.take()?;
+        *waiting -= 1;
+        Some(Memoized {
+            output,
+            from_disk: true,
+        })
     }
 
     /// The spec and output of a simulated sibling run whose record covers
     /// the detailed cell `spec`, if there is one.
-    fn sibling_output(&self, spec: &CellSpec) -> Option<(CellSpec, CellOutput)> {
+    fn sibling_output(&self, spec: &CellSpec) -> Option<(CellSpec, Arc<CellOutput>)> {
         let CellSpec::Detailed {
             workload,
             config,
@@ -388,8 +451,8 @@ impl Engine {
                 seed,
             }
         };
-        let out = self.cells.peek(&source.canonical())?;
-        Some((source, out))
+        let entry = self.cells.peek(&source)?;
+        Some((source, entry.output))
     }
 
     /// Detailed-pipeline statistics for one configuration.
@@ -401,7 +464,7 @@ impl Engine {
         instructions: u64,
         seed: u64,
     ) -> Stats {
-        self.cell(&CellSpec::Detailed {
+        self.output(&CellSpec::Detailed {
             workload,
             config,
             instructions,
@@ -420,7 +483,7 @@ impl Engine {
         instructions: u64,
         seed: u64,
     ) -> (Stats, MetricsProbe) {
-        let out = self.cell(&CellSpec::Detailed {
+        let out = self.output(&CellSpec::Detailed {
             workload,
             config,
             instructions,
@@ -439,7 +502,7 @@ impl Engine {
         instructions: u64,
         seed: u64,
     ) -> IdealResult {
-        match self.cell(&CellSpec::Ideal {
+        match *self.output(&CellSpec::Ideal {
             workload,
             model,
             window,
@@ -447,14 +510,14 @@ impl Engine {
             seed,
         }) {
             CellOutput::Ideal(r) => r,
-            other => panic!("ideal cell produced {other:?}"),
+            ref other => panic!("ideal cell produced {other:?}"),
         }
     }
 
     /// Study-input summary `(trace length, predictions, mispredictions)`.
     #[must_use]
     pub fn study(&self, workload: Workload, instructions: u64, seed: u64) -> (u64, u64, u64) {
-        match self.cell(&CellSpec::Study {
+        match *self.output(&CellSpec::Study {
             workload,
             instructions,
             seed,
@@ -464,7 +527,7 @@ impl Engine {
                 predictions,
                 mispredictions,
             } => (len, predictions, mispredictions),
-            other => panic!("study cell produced {other:?}"),
+            ref other => panic!("study cell produced {other:?}"),
         }
     }
 
@@ -621,14 +684,17 @@ impl Engine {
         };
         let mut corrupt_here = 0u64;
         let mut first_bad: Option<usize> = None;
+        let mut disk = self.disk.lock().unwrap();
         for (index, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
             match parse_cache_line(line) {
                 Some((spec, output)) => {
-                    self.disk.lock().unwrap().insert(spec.clone());
-                    self.cells.seed(spec, output);
+                    if let Entry::Vacant(line) = disk.lines.entry(spec) {
+                        line.insert(Some(Arc::new(output)));
+                        disk.waiting += 1;
+                    }
                     self.loaded.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
@@ -655,9 +721,10 @@ impl Engine {
         }
     }
 
-    /// Persist every computed cell to `<cache-dir>/cells.jsonl`, atomically
-    /// (write-to-temp then rename) and sorted by spec so the file is
-    /// deterministic. A no-op without a cache directory.
+    /// Persist every cell to `<cache-dir>/cells.jsonl`, atomically
+    /// (write-to-temp then rename) and sorted by spec text so the file is
+    /// deterministic: the memoized cells and the loaded lines no request
+    /// reached. A no-op without a cache directory.
     ///
     /// # Errors
     /// Propagates filesystem errors (directory creation, write, rename).
@@ -666,21 +733,28 @@ impl Engine {
             return Ok(());
         };
         std::fs::create_dir_all(dir)?;
-        // One line at a time, rendered from the memo without cloning the
-        // output: rendering the whole file into one string would set the
-        // run's peak memory.
-        let mut specs = self.cells.keys();
-        specs.sort_unstable();
+        // One line at a time, rendered from the memo and the loaded lines
+        // without cloning an output: rendering the whole file into one
+        // string would set the run's peak memory.
+        let entries = self.cells.entries();
+        let disk = self.disk.lock().unwrap();
+        let mut cells: Vec<(Cow<'_, str>, &CellOutput)> =
+            entries
+                .iter()
+                .map(|(spec, entry)| (Cow::Owned(spec.canonical()), &*entry.output))
+                .chain(disk.lines.iter().filter_map(|(spec, output)| {
+                    Some((Cow::from(spec.as_str()), &**output.as_ref()?))
+                }))
+                .collect();
+        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let path = dir.join(CACHE_FILE);
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
         {
             let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
             let mut line = String::new();
-            for spec in specs {
+            for (spec, output) in cells {
                 line.clear();
-                self.cells
-                    .peek_with(&spec, |output| write_cache_line(&mut line, &spec, output))
-                    .expect("a listed cell is ready");
+                write_cache_line(&mut line, &spec, output);
                 line.push('\n');
                 f.write_all(line.as_bytes())?;
             }

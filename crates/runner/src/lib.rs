@@ -7,8 +7,9 @@
 //! Tables 2-4, Figure 8 and the distributions table). This crate turns the
 //! experiment suite into a declarative job graph over those cells:
 //!
-//! - [`CellSpec`] names a cell; its canonical text form (and FNV-1a content
-//!   hash, [`CellKey`]) is the memo key.
+//! - [`CellSpec`] names a cell, and the spec value is the memo key. Its
+//!   canonical text form (and FNV-1a content hash, [`CellKey`]) names the
+//!   cell outside the process: in the disk cache and in reports.
 //! - [`Engine`] computes each distinct cell **exactly once** on a
 //!   hand-rolled `std::thread` [work-stealing pool](pool) ([`Memo`] provides
 //!   in-flight deduplication), shares [`CellOutput`]s across every
@@ -35,7 +36,7 @@ pub mod metrics;
 pub mod persist;
 pub mod pool;
 
-pub use cell::{fnv1a, CellKey, CellOutput, CellSpec, SharedInputs};
+pub use cell::{fnv1a, CellKey, CellOutput, CellSpec, SharedInputs, SpecHash, SpecHasher};
 pub use engine::{Engine, EngineOptions, CACHE_FILE};
 pub use memo::Memo;
 pub use metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};

@@ -6,8 +6,9 @@
 //! the value is published. The compute closure runs *outside* the lock, so
 //! long simulations never serialize unrelated lookups.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::sync::{Condvar, Mutex};
 
 enum Slot<V> {
@@ -16,18 +17,18 @@ enum Slot<V> {
     Ready(V),
 }
 
-/// Thread-safe map from `K` to lazily computed `V`.
-pub struct Memo<K, V> {
-    inner: Mutex<HashMap<K, Slot<V>>>,
+/// Thread-safe map from `K` to lazily computed `V`, hashing keys with `S`.
+pub struct Memo<K, V, S = RandomState> {
+    inner: Mutex<HashMap<K, Slot<V>, S>>,
     ready: Condvar,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> Memo<K, V, S> {
     /// An empty memo table.
     #[must_use]
-    pub fn new() -> Memo<K, V> {
+    pub fn new() -> Memo<K, V, S> {
         Memo {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(HashMap::default()),
             ready: Condvar::new(),
         }
     }
@@ -52,15 +53,15 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         }
         // Clear the in-flight marker if `f` panics, so waiters recompute
         // rather than sleeping forever.
-        struct Unpoison<'a, K: Eq + Hash, V> {
-            memo: &'a Memo<K, V>,
-            key: Option<K>,
+        struct Unpoison<'a, K: Eq + Hash, V, S: BuildHasher> {
+            memo: &'a Memo<K, V, S>,
+            key: Option<&'a K>,
         }
-        impl<K: Eq + Hash, V> Drop for Unpoison<'_, K, V> {
+        impl<K: Eq + Hash, V, S: BuildHasher> Drop for Unpoison<'_, K, V, S> {
             fn drop(&mut self) {
                 if let Some(key) = self.key.take() {
                     if let Ok(mut map) = self.memo.inner.lock() {
-                        map.remove(&key);
+                        map.remove(key);
                     }
                     self.memo.ready.notify_all();
                 }
@@ -68,10 +69,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         }
         let mut guard = Unpoison {
             memo: self,
-            key: Some(key.clone()),
+            key: Some(&key),
         };
         let v = f();
         guard.key = None;
+        drop(guard);
         let mut map = self.inner.lock().unwrap();
         map.insert(key, Slot::Ready(v.clone()));
         drop(map);
@@ -82,26 +84,29 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// The value for `key` if it is already computed.
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<V> {
-        self.peek_with(key, V::clone)
-    }
-
-    /// `f` applied to the value for `key`, if it is already computed,
-    /// without cloning the value. `f` runs under the memo's lock.
-    pub fn peek_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         match self.inner.lock().unwrap().get(key) {
-            Some(Slot::Ready(v)) => Some(f(v)),
+            Some(Slot::Ready(v)) => Some(v.clone()),
             _ => None,
         }
     }
 
-    /// Insert a precomputed value (used when loading a persisted cache).
-    /// Existing entries are left untouched.
-    pub fn seed(&self, key: K, value: V) {
-        self.inner
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(Slot::Ready(value));
+    /// Whether `key` has a ready value, after inserting the value `f`
+    /// returns if the key has no entry at all (used to move entries of a
+    /// persisted cache in on first request). `f` runs under the memo's
+    /// lock, so it never races a computation of the same key.
+    pub fn seed_with(&self, key: &K, f: impl FnOnce() -> Option<V>) -> bool {
+        let mut map = self.inner.lock().unwrap();
+        match map.get(key) {
+            Some(Slot::Ready(_)) => true,
+            Some(Slot::InFlight) => false,
+            None => match f() {
+                Some(v) => {
+                    map.insert(key.clone(), Slot::Ready(v));
+                    true
+                }
+                None => false,
+            },
+        }
     }
 
     /// Number of ready entries.
@@ -121,20 +126,22 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         self.len() == 0
     }
 
-    /// The keys of all ready entries, in unspecified order.
+    /// Every ready entry, in unspecified order.
     #[must_use]
-    pub fn keys(&self) -> Vec<K> {
+    pub fn entries(&self) -> Vec<(K, V)> {
         self.inner
             .lock()
             .unwrap()
             .iter()
-            .filter(|(_, s)| matches!(s, Slot::Ready(_)))
-            .map(|(k, _)| k.clone())
+            .filter_map(|(k, s)| match s {
+                Slot::Ready(v) => Some((k.clone(), v.clone())),
+                Slot::InFlight => None,
+            })
             .collect()
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Default for Memo<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> Default for Memo<K, V, S> {
     fn default() -> Self {
         Memo::new()
     }
@@ -194,11 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn seed_does_not_overwrite() {
+    fn seed_with_fills_only_absent_keys() {
         let memo: Memo<u32, u32> = Memo::new();
-        memo.seed(1, 10);
-        memo.seed(1, 20);
+        assert!(!memo.seed_with(&1, || None));
+        assert!(memo.seed_with(&1, || Some(10)));
+        assert!(memo.seed_with(&1, || unreachable!()));
         assert_eq!(memo.peek(&1), Some(10));
-        assert_eq!(memo.keys(), vec![1]);
+        assert_eq!(memo.entries(), vec![(1, 10)]);
     }
 }

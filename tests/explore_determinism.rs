@@ -8,7 +8,11 @@
 //! numbers `RunMetrics` reports).
 
 use control_independence::ci_explore::{ExploreReport, Sweep};
-use control_independence::ci_runner::{Engine, EngineOptions, SweepSummary};
+use control_independence::ci_runner::{
+    CellSpec, Engine, EngineOptions, SpecHash, SweepSummary, CACHE_FILE,
+};
+use control_independence::experiments::{all_experiment_cells, Scale};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 const INSTRUCTIONS: u64 = 4_000;
@@ -121,6 +125,63 @@ fn grown_grid_recomputes_only_the_delta() {
     let metrics = second.run_metrics("explore-test");
     assert_eq!(metrics.cells_computed, grown_cells - small_cells);
     assert_eq!(metrics.disk_hits, small_cells);
+}
+
+/// The engine keeps the loaded cache lines no request reached and writes
+/// them back: a save after replaying one workload of a grid leaves the
+/// cache file byte-identical, and every replayed cell was a disk hit.
+#[test]
+fn partial_replay_keeps_the_unrequested_lines() {
+    let tmp = TempDir::new("partial");
+    let cold = tmp.engine();
+    let _ = report(&cold, &sweep("smoke-grid"));
+    cold.save_cache().expect("persist cells");
+    let path = tmp.0.join(CACHE_FILE);
+    let original = std::fs::read(&path).expect("read the cache");
+
+    let warm = tmp.engine();
+    let _ = report(&warm, &sweep("smoke-grid,workload=go"));
+    warm.save_cache().expect("persist cells");
+    assert_eq!(
+        std::fs::read(&path).expect("read the cache"),
+        original,
+        "a save after a partial replay must rewrite every loaded line"
+    );
+    assert_eq!(warm.cells_computed(), 0);
+    let metrics = warm.run_metrics("explore-test");
+    assert!(!metrics.cells.is_empty());
+    for cell in &metrics.cells {
+        assert_eq!(cell.disposition, "disk_hit", "{}", cell.label);
+    }
+}
+
+/// The memo keys cells by spec value, the cache and reports by canonical
+/// text: over every cell of the paper's tables and the grid presets, the
+/// two identities must split the cells into the same classes, or the memo
+/// would merge or split cells the cache keeps apart.
+#[test]
+fn spec_values_and_texts_name_the_same_cells() {
+    let scale = Scale {
+        instructions: 2_000,
+        seed: SEED,
+    };
+    let full = sweep("full-grid").expand(2_000, SEED);
+    assert_eq!(full.len(), 1300);
+    let cells: Vec<CellSpec> = all_experiment_cells(&scale)
+        .into_iter()
+        .chain(full)
+        .chain(sweep("smoke-grid").expand(2_000, SEED))
+        .chain(sweep("smoke-grid").expand(INSTRUCTIONS, SEED))
+        .collect();
+    let values: HashSet<&CellSpec, SpecHash> = cells.iter().collect();
+    let texts: HashSet<String> = cells.iter().map(CellSpec::canonical).collect();
+    let pairs: HashSet<(&CellSpec, String)> = cells.iter().map(|c| (c, c.canonical())).collect();
+    assert!(
+        values.len() < cells.len(),
+        "the cells must share some specs"
+    );
+    assert_eq!(values.len(), texts.len());
+    assert_eq!(pairs.len(), texts.len());
 }
 
 #[test]
