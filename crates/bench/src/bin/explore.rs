@@ -3,24 +3,26 @@
 //! Pareto fronts, knees, and pruning statistics.
 //!
 //! ```text
-//! explore [--sweep <spec>] [--out <report.json>] [--md <report.md>]
+//! explore [--sweep <spec> | <spec>] [--out <report.json>] [--md <report.md>]
 //! ```
 //!
 //! `<spec>` is the declarative sweep grammar of `ci_explore::Sweep::parse`
 //! (axes `window/fetch/conf/machine/preempt/completion/recon/workload`,
 //! range forms `a..=b[:+n|:xn]`, presets `paper-grid`/`full-grid`/
-//! `smoke-grid`); the default is `smoke-grid`. A bare positional argument
-//! is also accepted as the spec. Cell scale comes from
-//! `CI_REPRO_INSTRUCTIONS` / `CI_REPRO_SEED` as in every other binary, and
-//! the shared flags (`--json`, `--workers`, `--cache-dir`, `--timing`,
-//! `--metrics`) are documented in `ci_bench::cli` — with `--cache-dir`,
-//! growing a grid recomputes only the new cells.
+//! `smoke-grid`); the default is `smoke-grid`. The spec is given once:
+//! after `--sweep` or as the one positional argument. A flag without its
+//! value, a stray flag, a second spec or one that does not parse is a
+//! usage error (exit 2). Cell scale comes from `CI_REPRO_INSTRUCTIONS` /
+//! `CI_REPRO_SEED` as in every other binary, and the shared flags
+//! (`--json`, `--workers`, `--cache-dir`, `--metrics`) are documented in
+//! `ci_bench::cli` — with `--cache-dir`, growing a grid recomputes only
+//! the new cells.
 //!
 //! `--out` writes the `explore_report/v1` JSON object (deterministic:
 //! byte-identical across worker counts and cache states); `--md` writes
 //! the markdown writeup.
 
-use ci_bench::cli::{end_quietly_on_closed_pipe, Cli};
+use ci_bench::cli::{end_quietly_on_closed_pipe, usage_error, Cli, SHARED_FLAGS};
 use control_independence::ci_explore::{ExploreReport, Sweep};
 use control_independence::ci_runner::SweepSummary;
 use control_independence::experiments::Scale;
@@ -29,35 +31,26 @@ use std::path::PathBuf;
 fn main() {
     end_quietly_on_closed_pipe();
     let mut cli = Cli::from_args("explore");
-    let mut spec: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut md: Option<PathBuf> = None;
-    let mut rest = std::mem::take(&mut cli.rest).into_iter();
-    while let Some(a) = rest.next() {
-        let mut value = |flag: &str| {
-            rest.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires an argument");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--sweep" => spec = Some(value("--sweep")),
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--md" => md = Some(PathBuf::from(value("--md"))),
-            _ if !a.starts_with('-') && spec.is_none() => spec = Some(a),
-            _ => {
-                eprintln!(
-                    "unknown argument `{a}`\n\
-                     usage: explore [--sweep <spec>] [--out <report.json>] [--md <report.md>]"
-                );
-                std::process::exit(2);
-            }
+    let usage = format!(
+        "usage: explore [--sweep <spec> | <spec>] [--out <report.json>] [--md <report.md>] \
+         {SHARED_FLAGS}"
+    );
+    let flag = cli.rest.take_flag("--sweep", &usage);
+    let out = cli.rest.take_flag("--out", &usage).map(PathBuf::from);
+    let md = cli.rest.take_flag("--md", &usage).map(PathBuf::from);
+    let positional = cli.rest.positionals(1, &usage).first().cloned();
+    let spec = match (flag, positional) {
+        (Some(_), Some(positional)) => {
+            eprintln!("the sweep is given twice: after --sweep and as `{positional}`");
+            usage_error(&usage)
         }
-    }
-    let spec = spec.unwrap_or_else(|| "smoke-grid".to_owned());
+        (flag, positional) => flag
+            .or(positional)
+            .unwrap_or_else(|| "smoke-grid".to_owned()),
+    };
     let sweep = Sweep::parse(&spec).unwrap_or_else(|e| {
         eprintln!("bad sweep `{spec}`: {e}");
-        std::process::exit(2);
+        usage_error(&usage)
     });
     let scale = Scale::from_env_or_exit();
 

@@ -28,8 +28,12 @@ const SEED: u64 = 0x5EED;
 fn main() {
     end_quietly_on_closed_pipe();
     let mut cli = Cli::from_args("inspect");
+    let usage = format!(
+        "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] [--trace PATH] \
+         {SHARED_FLAGS}"
+    );
     // --timeline <first>:<last> (0-based retired-instruction indices).
-    let timeline_range = cli.rest.take_flag("--timeline").map(|spec| {
+    let timeline_range = cli.rest.take_flag("--timeline", &usage).map(|spec| {
         let parts: Vec<&str> = spec.splitn(2, ':').collect();
         let parsed = match parts.as_slice() {
             [a, b] => a.parse().ok().zip(b.parse().ok()),
@@ -40,11 +44,7 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let trace_path = cli.rest.take_flag("--trace");
-    let usage = format!(
-        "usage: inspect [<workload> [<instructions>]] [--timeline FIRST:LAST] [--trace PATH] \
-         {SHARED_FLAGS}"
-    );
+    let trace_path = cli.rest.take_flag("--trace", &usage);
     let args = cli.rest.positionals(2, &usage);
     let name = args.first().cloned().unwrap_or_else(|| "go".to_owned());
     let instructions: u64 = match args.get(1) {

@@ -2,8 +2,8 @@
 //! full evaluation with `repro all`. The names are those of
 //! `experiments::NAMES` (`table1`..`table4`, `fig3`, `fig5`, ..., `fig17`,
 //! `distributions`, `all`). Scale with `CI_REPRO_INSTRUCTIONS`; the shared
-//! flags (`--json`, `--workers`, `--cache-dir`, `--timing`, `--metrics`)
-//! are documented in `ci_bench::cli`.
+//! flags (`--json`, `--workers`, `--cache-dir`, `--metrics`) are documented
+//! in `ci_bench::cli`.
 //!
 //! `repro all` prefetches the union of every table's cells on the
 //! `--workers` pool, computes each distinct cell once, and assembles the

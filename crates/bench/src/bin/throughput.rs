@@ -16,8 +16,8 @@
 //! Every run is a *fresh* `simulate()` call (never memoized) because the
 //! subject under measurement is the simulator itself, so `throughput` runs
 //! no cell engine and rejects the engine's flags (`--workers`,
-//! `--cache-dir`, `--timing`, `--metrics`) with a usage error. `--reps
-//! <n>` runs the sweep `n` times.
+//! `--cache-dir`, `--metrics`) with a usage error. `--reps <n>` runs the
+//! sweep `n` times.
 //!
 //! A reference unit is the time a fixed computation takes on the host right
 //! now: a copy of the benchmark's (`perfbench`) 16 MiB reference, branchy
@@ -162,10 +162,11 @@ impl Reference {
 fn main() {
     end_quietly_on_closed_pipe();
     let mut args = Args::from_env();
-    let mut out = Emitter::new(args.take_flag("--json").map(PathBuf::from));
+    let usage = "usage: throughput [--reps N] [--baseline PATH] [--json PATH]";
+    let mut out = Emitter::new(args.take_flag("--json", usage).map(PathBuf::from));
     let scale = Scale::from_env_or_exit();
     let reps: u32 = args
-        .take_flag("--reps")
+        .take_flag("--reps", usage)
         .map(|v| {
             v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
                 eprintln!("--reps must be a positive integer, got `{v}`");
@@ -173,11 +174,8 @@ fn main() {
             })
         })
         .unwrap_or(1);
-    let baseline_path = args.take_flag("--baseline");
-    args.positionals(
-        0,
-        "usage: throughput [--reps N] [--baseline PATH] [--json PATH]",
-    );
+    let baseline_path = args.take_flag("--baseline", usage);
+    args.positionals(0, usage);
 
     let instructions = scale.instructions;
     println!(

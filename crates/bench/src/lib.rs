@@ -17,11 +17,14 @@
 //!   reference mode; printed output is byte-identical for every value).
 //! - `--cache-dir <dir>`: persist computed cells to `<dir>/cells.jsonl` and
 //!   reuse them on the next run.
-//! - `--timing <path>`: export per-cell wall times and cache counters as
-//!   JSON lines through the `ci-obs` metrics layer; each cell line carries
-//!   its workload, configuration family, and cache disposition.
-//! - `--metrics <path>`: export a run-level `run_metrics/v1` JSON report
-//!   (cache hit rates, pool utilization, slowest cells).
+//! - `--metrics <path>`: export a run-level `run_metrics/v2` JSON report:
+//!   cache hit rates, pool utilization, and every cell request with its
+//!   wall time, cache disposition and, for a cell served from a sibling
+//!   run, that run's key.
+//!
+//! Every run ends with the same summary on stderr, with or without
+//! `--metrics`: the cache counters, the served cells, and the five slowest
+//! computed cells.
 //!
 //! `throughput` runs no engine and takes only `--json` of these; `fuzz` has
 //! flags of its own. A closed stdout ends any of the five quietly
@@ -93,8 +96,7 @@ pub mod cli {
     }
 
     /// The shared flags, as they appear on every binary's usage line.
-    pub const SHARED_FLAGS: &str =
-        "[--json PATH] [--workers N] [--cache-dir DIR] [--timing PATH] [--metrics PATH]";
+    pub const SHARED_FLAGS: &str = "[--json PATH] [--workers N] [--cache-dir DIR] [--metrics PATH]";
 
     /// Print `usage` on stderr and exit 2.
     pub fn usage_error(usage: &str) -> ! {
@@ -136,13 +138,14 @@ pub mod cli {
             Args(std::env::args().skip(1).collect())
         }
 
-        /// Take one `flag <value>` pair out and return the value. Exits 2
-        /// when the flag has no value.
-        pub fn take_flag(&mut self, flag: &str) -> Option<String> {
+        /// Take one `flag <value>` pair out and return the value. A flag
+        /// without a value is a usage error: it is named on stderr with the
+        /// `usage` line, and the process exits 2.
+        pub fn take_flag(&mut self, flag: &str, usage: &str) -> Option<String> {
             let i = self.0.iter().position(|a| a == flag)?;
             if i + 1 >= self.0.len() {
                 eprintln!("{flag} requires an argument");
-                std::process::exit(2);
+                usage_error(usage);
             }
             let value = self.0.remove(i + 1);
             self.0.remove(i);
@@ -186,19 +189,18 @@ pub mod cli {
         /// The binary's own flags and positionals, left after the shared
         /// flags.
         pub rest: Args,
-        timing: Option<PathBuf>,
         metrics: Option<PathBuf>,
         label: &'static str,
     }
 
     impl Cli {
-        /// Parse the process arguments. `label` names the binary in timing
-        /// exports. Exits with a usage message on a malformed flag.
+        /// Parse the process arguments. `label` names the binary in the
+        /// `--metrics` report. Exits with a usage message on a malformed
+        /// flag.
         #[must_use]
         pub fn from_args(label: &'static str) -> Cli {
             let mut opts = EngineOptions::from_env();
             let mut json = None;
-            let mut timing = None;
             let mut metrics = None;
             let mut rest = Vec::new();
             let mut args = std::env::args().skip(1);
@@ -211,7 +213,6 @@ pub mod cli {
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--json" => json = Some(PathBuf::from(value(&mut args, "--json"))),
-                    "--timing" => timing = Some(PathBuf::from(value(&mut args, "--timing"))),
                     "--metrics" => metrics = Some(PathBuf::from(value(&mut args, "--metrics"))),
                     "--cache-dir" => {
                         opts.cache_dir = Some(PathBuf::from(value(&mut args, "--cache-dir")));
@@ -230,7 +231,6 @@ pub mod cli {
                 out: Emitter::new(json),
                 engine: Engine::new(opts),
                 rest: Args(rest),
-                timing,
                 metrics,
                 label,
             }
@@ -241,28 +241,22 @@ pub mod cli {
             self.out.table(table);
         }
 
-        /// Finish the run: flush the `--json` export, write the `--timing`
-        /// JSON lines and the `--metrics` run report (host-side wall times
-        /// are nondeterministic, so neither ever goes into the byte-compared
-        /// `--json` artifact), persist the cell cache, and print a one-line
-        /// cache/timing summary to stderr.
+        /// Finish the run: flush the `--json` export, write the `--metrics`
+        /// run report (host-side wall times are nondeterministic, so they
+        /// never go into the byte-compared `--json` artifact), persist the
+        /// cell cache, and print the report's summary to stderr.
         pub fn finish(mut self) {
             self.out.finish();
-            if let Some(path) = &self.timing {
-                let jsonl = self.engine.timing_jsonl(self.label);
-                write_file(path, jsonl.as_bytes());
-            }
+            let report = self.engine.run_metrics(self.label);
             if let Some(path) = &self.metrics {
-                let report = self.engine.run_metrics(self.label);
                 let mut body = report.to_json().render();
                 body.push('\n');
                 write_file(path, body.as_bytes());
-                eprint!("{}", report.summary());
             }
             if let Err(e) = self.engine.save_cache() {
                 panic!("cannot persist cell cache: {e}");
             }
-            eprint!("{}", self.engine.timing_summary(5));
+            eprint!("{}", report.summary());
         }
     }
 }

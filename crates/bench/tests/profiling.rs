@@ -169,7 +169,9 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
 #[test]
 fn throughput_rejects_the_engine_flags() {
     // `throughput` runs no cell engine: these flags would configure or
-    // report an engine that does nothing.
+    // report an engine that does nothing. `--timing` is no flag of any
+    // binary any more (`--metrics` carries the per-cell wall times), so it
+    // is refused as unknown.
     for flag in ["--metrics", "--timing", "--cache-dir", "--workers"] {
         let target = tmp(&format!("rejected{flag}"));
         let value = if flag == "--workers" {
@@ -213,10 +215,18 @@ fn repro_writes_a_run_metrics_report() {
     let m = parse(text.trim()).expect("metrics is valid JSON");
     assert_eq!(
         m.get("schema").and_then(JsonValue::as_str),
-        Some("run_metrics/v1")
+        Some("run_metrics/v2")
     );
     assert_eq!(m.get("binary").and_then(JsonValue::as_str), Some("repro"));
     assert!(m.get("cells_computed").and_then(JsonValue::as_i64).unwrap() > 0);
+    let cells = m.get("cells").and_then(JsonValue::as_array).unwrap();
+    assert!(cells
+        .iter()
+        .all(|c| matches!(c.get("served_from"), Some(JsonValue::Null))));
+    // One summary on stderr, the same with or without `--metrics`.
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(stderr.matches("cells: ").count(), 1, "{stderr}");
+    assert!(stderr.contains(" loaded from disk, 0 corrupt lines, 1 workers\n"));
 }
 
 #[test]

@@ -24,7 +24,9 @@
 //! | `oracle_ghr` | history choice at fetch and re-prediction | the two histories predicted differently |
 //! | `squash`, `recon`, `conf_threshold` | recovery | per recovery, the branch's confidence counter and where each heuristic first matches in the window |
 //!
-//! Every other field is not recorded, so a sibling must match it exactly.
+//! Every other field is not recorded, so a sibling must match it exactly:
+//! a run serves only configurations of its own
+//! [reuse class](Sensitivity::reuse_class).
 
 use crate::config::{CompletionModel, PipelineConfig, SquashMode};
 
@@ -82,30 +84,36 @@ fn gate_passes(completion: CompletionModel, situation: u8) -> bool {
 }
 
 impl Sensitivity {
+    /// The reuse class of `config`: the configuration with every field the
+    /// record handles set to one fixed value. A run can serve only
+    /// configurations of its own class, because the fields left are the
+    /// ones the record does not handle, which a sibling must match. A field
+    /// added later stays in the class until it joins the record.
+    #[must_use]
+    pub fn reuse_class(config: &PipelineConfig) -> PipelineConfig {
+        let fixed = PipelineConfig::base(0);
+        PipelineConfig {
+            window: fixed.window,
+            squash: fixed.squash,
+            recon: fixed.recon,
+            redispatch: fixed.redispatch,
+            preemption: fixed.preemption,
+            completion: fixed.completion,
+            hide_false_mispredictions: fixed.hide_false_mispredictions,
+            repredict: fixed.repredict,
+            oracle_ghr: fixed.oracle_ghr,
+            conf_threshold: fixed.conf_threshold,
+            ..*config
+        }
+    }
+
     /// Whether a machine configured as `other` would decide every decision
     /// point this run reached exactly as this run, configured as `run`,
     /// did — and so would produce this run's statistics and probe stream.
-    ///
-    /// Fields the record does not handle must be equal: they are compared
-    /// by copying the handled fields of `run` over `other` and comparing the
-    /// whole configurations, so a field added later is refused until it
-    /// joins the record.
+    /// The two must share a [reuse class](Sensitivity::reuse_class).
     #[must_use]
     pub fn covers(&self, run: &PipelineConfig, other: &PipelineConfig) -> bool {
-        let unhandled_equal = PipelineConfig {
-            window: run.window,
-            squash: run.squash,
-            recon: run.recon,
-            redispatch: run.redispatch,
-            preemption: run.preemption,
-            completion: run.completion,
-            hide_false_mispredictions: run.hide_false_mispredictions,
-            repredict: run.repredict,
-            oracle_ghr: run.oracle_ghr,
-            conf_threshold: run.conf_threshold,
-            ..*other
-        } == *run;
-        unhandled_equal
+        Sensitivity::reuse_class(run) == Sensitivity::reuse_class(other)
             && (self.window_lo..=self.window_hi).contains(&other.window)
             && (other.preemption == run.preemption || !self.preempted)
             && ((other.redispatch == run.redispatch && other.repredict == run.repredict)
@@ -196,7 +204,7 @@ impl Sensitivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Preemption, ReconStrategy};
+    use crate::config::{CacheModel, Preemption, ReconStrategy, RedispatchMode, RepredictMode};
 
     #[test]
     fn an_empty_record_covers_every_handled_field_but_not_the_rest() {
@@ -227,6 +235,77 @@ mod tests {
                     ..run
                 }
             ));
+        }
+    }
+
+    #[test]
+    fn reuse_class_forgets_the_handled_fields_only() {
+        let run = PipelineConfig::ci(64);
+        let class = Sensitivity::reuse_class(&run);
+        let handled = [
+            PipelineConfig { window: 512, ..run },
+            PipelineConfig {
+                squash: SquashMode::Full,
+                ..run
+            },
+            PipelineConfig {
+                recon: ReconStrategy::hardware(true, true, false),
+                ..run
+            },
+            PipelineConfig {
+                redispatch: RedispatchMode::Instant,
+                ..run
+            },
+            PipelineConfig {
+                preemption: Preemption::Optimal,
+                ..run
+            },
+            PipelineConfig {
+                completion: CompletionModel::NonSpec,
+                ..run
+            },
+            PipelineConfig {
+                hide_false_mispredictions: true,
+                ..run
+            },
+            PipelineConfig {
+                repredict: RepredictMode::None,
+                ..run
+            },
+            PipelineConfig {
+                oracle_ghr: true,
+                ..run
+            },
+            PipelineConfig {
+                conf_threshold: 9,
+                ..run
+            },
+        ];
+        for other in handled {
+            assert_ne!(other, run);
+            assert_eq!(Sensitivity::reuse_class(&other), class, "{other:?}");
+        }
+        let mut latencies = run.latencies;
+        latencies.int_div += 1;
+        let unhandled = [
+            PipelineConfig { width: 8, ..run },
+            PipelineConfig { segment: 4, ..run },
+            PipelineConfig {
+                cache: CacheModel::Ideal { latency: 1 },
+                ..run
+            },
+            PipelineConfig { latencies, ..run },
+            PipelineConfig {
+                predictor_bits: 12,
+                ..run
+            },
+            PipelineConfig {
+                check: false,
+                ..run
+            },
+        ];
+        for other in unhandled {
+            assert_ne!(Sensitivity::reuse_class(&other), class, "{other:?}");
         }
     }
 

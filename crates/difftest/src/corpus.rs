@@ -278,7 +278,7 @@ impl Corpus {
                     corpus.add(entry);
                 }
                 Err(reason) => {
-                    let qpath = quarantine_cache_file(dir, &path, &content, &reason)
+                    let qpath = quarantine_cache_file(dir, &path, content.as_bytes(), &reason)
                         .map_err(|e| format!("quarantining {}: {e}", path.display()))?;
                     quarantined.push(qpath);
                 }

@@ -4,9 +4,9 @@
 //!
 //! Both modes run in **rounds**: each round snapshots the corpus, derives
 //! every trial in the round purely from `(campaign seed, global trial index,
-//! snapshot)`, executes the batch on the [`ci_runner::run_batch`]
-//! work-stealing pool, and then merges results into the coverage map and
-//! corpus **in global trial-index order** at the round barrier. Worker count
+//! snapshot)`, executes the batch on the [`ci_runner::pool::run_batch`]
+//! pool, and then merges results into the coverage map and corpus **in
+//! global trial-index order** at the round barrier. Worker count
 //! affects only which thread runs which trial, never which trials exist or
 //! the order their novelty is judged in. In random mode the snapshot is
 //! never read: trial `i` of a campaign with seed `s` always checks the

@@ -7,7 +7,7 @@
 //! branch completion model, reconvergence heuristic, workload — into
 //! thousands of simulation cells, which run incrementally through the
 //! memoized [`Engine`](ci_runner::Engine) (delta-only reruns against a
-//! `--cache-dir`, work-stealing parallel across `--workers`). The grid is
+//! `--cache-dir`, parallel across `--workers`). The grid is
 //! then reduced ([`ExploreReport::build`]) into per-workload **Pareto
 //! fronts** (IPC versus hardware cost, CI benefit versus misprediction
 //! rate), **knee** configurations (maximum distance to the front's chord),

@@ -96,8 +96,8 @@ pub struct ExploreReport {
 }
 
 impl ExploreReport {
-    /// Run `sweep` through `engine` (batched through the work-stealing
-    /// pool, so repeat cells are memo hits) and reduce the grid.
+    /// Run `sweep` through `engine` (batched through the engine's pool, so
+    /// repeat cells are memo hits) and reduce the grid.
     #[must_use]
     pub fn build(engine: &Engine, sweep: &Sweep, instructions: u64, seed: u64) -> ExploreReport {
         let cells = sweep.expand(instructions, seed);

@@ -296,15 +296,6 @@ impl Registry {
         *self.counters.entry(name.to_owned()).or_insert(0) += by;
     }
 
-    /// Record an observation in the named histogram, creating it with
-    /// `bounds` on first use.
-    pub fn observe(&mut self, name: &str, bounds: &[u64], v: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(v);
-    }
-
     /// Insert a pre-built histogram under `name` (replacing any existing).
     pub fn insert_histogram(&mut self, name: &str, h: Histogram) {
         self.histograms.insert(name.to_owned(), h);
@@ -589,15 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_observe_and_defaults() {
+    fn registry_counters_add_up_and_default_to_zero() {
         let mut r = Registry::new();
         r.inc("a", 2);
         r.inc("a", 3);
-        r.observe("h", &[1, 10], 4);
-        r.observe("h", &[1, 10], 40);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert!(r.histogram("missing").is_none());
-        assert_eq!(r.histogram("h").unwrap().count(), 2);
     }
 }

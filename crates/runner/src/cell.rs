@@ -11,9 +11,9 @@
 //! hashes specs field by field with [`SpecHasher`] and compares them with
 //! `Eq`. The spec's canonical text form is its identity outside the
 //! process: the `spec` member of a line in the on-disk cache, and (through
-//! its FNV-1a hash, the [`CellKey`]) the keys in timing and metrics
-//! reports. Two specs are equal exactly when their canonical texts are, so
-//! both identities name the same cells.
+//! its FNV-1a hash, the [`CellKey`]) the keys in metrics reports. Two
+//! specs are equal exactly when their canonical texts are, so both
+//! identities name the same cells.
 
 use crate::memo::Memo;
 use ci_core::{ArchRef, Pipeline, PipelineConfig, RedispatchMode, Sensitivity, SquashMode, Stats};
@@ -195,7 +195,7 @@ impl CellSpec {
         CellKey(fnv1a(self.canonical().as_bytes()))
     }
 
-    /// Short human label for progress and timing reports.
+    /// Short human label for metrics reports.
     #[must_use]
     pub fn label(&self) -> String {
         match self {
@@ -226,7 +226,6 @@ impl CellSpec {
     /// the workload/budget/seed dimensions. Detailed cells map to the
     /// paper's machine names (`base`, `ci`, `ci_i`) plus the window size;
     /// ideal cells to the model name plus window; study cells to `study`.
-    /// Joinable across `--timing` lines and `RunMetrics`.
     #[must_use]
     pub fn family(&self) -> String {
         match self {
@@ -240,6 +239,27 @@ impl CellSpec {
             }
             CellSpec::Ideal { model, window, .. } => format!("{model:?}_w{window}").to_lowercase(),
             CellSpec::Study { .. } => "study".to_owned(),
+        }
+    }
+
+    /// The reuse class of a detailed cell: the cells that can serve one
+    /// another, named by this spec with its configuration reduced to its
+    /// [`Sensitivity::reuse_class`]. `None` for ideal and study cells,
+    /// which serve nothing.
+    pub(crate) fn reuse_class(&self) -> Option<CellSpec> {
+        match *self {
+            CellSpec::Detailed {
+                workload,
+                config,
+                instructions,
+                seed,
+            } => Some(CellSpec::Detailed {
+                workload,
+                config: Sensitivity::reuse_class(&config),
+                instructions,
+                seed,
+            }),
+            CellSpec::Ideal { .. } | CellSpec::Study { .. } => None,
         }
     }
 

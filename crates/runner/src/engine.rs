@@ -1,21 +1,31 @@
 //! The experiment engine: a memo cache of simulation cells fronted by the
-//! work-stealing pool, with optional on-disk persistence and per-cell
-//! timing exported through the `ci-obs` metrics layer.
+//! [pool](crate::pool), with optional on-disk persistence and a run-level
+//! [`RunMetrics`] report of where the host time went.
+//!
+//! A prefetch queues one job per *reuse class* — the detailed cells that
+//! can serve one another: same workload, budget and seed, and equal in
+//! every configuration field the [`Sensitivity`] record does not handle
+//! ([`Sensitivity::reuse_class`]). The job computes its class's cells in
+//! first-listed order, and a cell is served only from a run of its own
+//! class that an earlier batch, or an earlier cell of the same job,
+//! simulated. Then comes one job per ideal or study cell. Every worker
+//! count therefore serves the same cells, from the same runs, as a serial
+//! run.
 
-use crate::cell::{CellKey, CellOutput, CellSpec, InputKey, SharedInputs, SpecHash};
+use crate::cell::{CellKey, CellOutput, CellSpec, SharedInputs, SpecHash};
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 use crate::persist::{quarantine_cache_file, write_cache_line};
-use crate::pool::{run_batch, run_batch_catching, PoolStats};
+use crate::pool::{run_batch, PoolStats};
 use ci_core::{PipelineConfig, Sensitivity, Stats};
 use ci_ideal::{IdealResult, ModelKind};
-use ci_obs::json::JsonValue;
-use ci_obs::{MetricsProbe, Registry};
+use ci_obs::MetricsProbe;
 use ci_workloads::Workload;
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -68,8 +78,8 @@ impl Default for EngineOptions {
 }
 
 /// One recorded cell request (computed or cache hit). The key, label,
-/// workload and family that join timing data with [`RunMetrics`] are
-/// derived from the spec only when a report asks for them.
+/// workload and family of its [`CellReport`] are derived from the spec only
+/// when a report asks for them.
 struct CellTiming {
     spec: CellSpec,
     wall: Duration,
@@ -100,11 +110,10 @@ struct DiskLines {
     text: String,
 }
 
-/// A simulated detailed run that later sibling cells — same workload,
-/// budget and seed, another configuration — may be served from: its
-/// configuration and its sensitivity record. Its output stays in the memo
-/// only, under the spec the sibling's workload, budget and seed rebuild
-/// with this configuration.
+/// A simulated detailed run that later sibling cells of its reuse class may
+/// be served from: its configuration and its sensitivity record. Its output
+/// stays in the memo only, under the spec the sibling's workload, budget
+/// and seed rebuild with this configuration.
 struct SiblingRun {
     config: PipelineConfig,
     record: Sensitivity,
@@ -113,7 +122,7 @@ struct SiblingRun {
 struct Timing {
     /// Every cell request, in completion order.
     cells: Vec<CellTiming>,
-    /// Pool scheduling totals across prefetch batches.
+    /// Pool totals across prefetch batches.
     pool: PoolReport,
 }
 
@@ -126,11 +135,12 @@ struct Timing {
 /// byte-identical for every worker count.
 ///
 /// A detailed cell need not be simulated at all when an already simulated
-/// *sibling* — same workload, budget and seed — made every configuration
-/// decision the cell's configuration would have made (its
-/// [`Sensitivity`] record [covers](Sensitivity::covers) the cell): the
-/// cell then shares the sibling's output. A served cell still counts as
-/// computed; [`Engine::cells_served`] counts how many were.
+/// *sibling* of its reuse class made every configuration decision the
+/// cell's configuration would have made (its [`Sensitivity`] record
+/// [covers](Sensitivity::covers) the cell): the cell then shares the
+/// sibling's output. A served cell still counts as computed;
+/// [`Engine::cells_served`] counts how many were, and the
+/// [`RunMetrics`] cell list names each one's source run.
 ///
 /// The memo is keyed by the spec value. A spec's canonical text is
 /// formatted only where it leaves the process: to find the spec's line in
@@ -145,9 +155,9 @@ pub struct Engine {
     /// its output into `cells`; [`Engine::save_cache`] writes back the ones
     /// never requested.
     disk: Mutex<DiskLines>,
-    /// Simulated detailed runs per (workload, budget, seed), in
-    /// registration order.
-    siblings: Mutex<HashMap<InputKey, Vec<SiblingRun>>>,
+    /// Simulated detailed runs per reuse class (named by
+    /// [`CellSpec::reuse_class`]), in registration order.
+    siblings: Mutex<HashMap<CellSpec, Vec<SiblingRun>, SpecHash>>,
     computed: AtomicU64,
     served: AtomicU64,
     hits: AtomicU64,
@@ -162,8 +172,9 @@ pub struct Engine {
 
 impl Engine {
     /// An engine with explicit options. Loads the persisted cache (if any)
-    /// tolerantly: unreadable files are treated as empty and corrupt lines
-    /// are dropped and counted, never trusted.
+    /// tolerantly: an unreadable file is treated as empty, and corrupt
+    /// lines (a byte that is not UTF-8 makes its line corrupt) are dropped
+    /// and counted, never trusted.
     #[must_use]
     pub fn new(opts: EngineOptions) -> Engine {
         let e = Engine {
@@ -176,7 +187,7 @@ impl Engine {
                 pool: PoolReport::default(),
             }),
             disk: Mutex::new(DiskLines::default()),
-            siblings: Mutex::new(HashMap::new()),
+            siblings: Mutex::new(HashMap::default()),
             computed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -236,18 +247,6 @@ impl Engine {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Every computed cell that was served from a sibling run, as the
-    /// cell's canonical spec and the sibling's key, in completion order.
-    #[must_use]
-    pub fn served_cells(&self) -> Vec<(String, CellKey)> {
-        let timing = self.timing.lock().unwrap();
-        timing
-            .cells
-            .iter()
-            .filter_map(|t| Some((t.spec.canonical(), t.served_from?)))
-            .collect()
-    }
-
     /// Cell requests served from memory (or the loaded disk cache).
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
@@ -278,10 +277,11 @@ impl Engine {
         *self.sweep.lock().unwrap() = Some(summary);
     }
 
-    /// Compute (or fetch) every distinct cell in `specs`, using the
-    /// work-stealing pool at the configured width. Later lookups of these
-    /// cells are pure cache hits, so callers can assemble tables serially
-    /// and deterministically afterwards.
+    /// Compute (or fetch) every distinct cell in `specs` on the pool at the
+    /// configured width: one job per reuse class, then one per ideal or
+    /// study cell (see the module docs). Later lookups of these cells are
+    /// pure cache hits, so callers can assemble tables serially and
+    /// deterministically afterwards.
     pub fn prefetch(&self, specs: &[CellSpec]) {
         self.prefetch_batch(specs, false);
     }
@@ -289,36 +289,55 @@ impl Engine {
     /// [`Engine::prefetch`] with per-cell panic isolation: a cell whose
     /// computation panics is counted in [`PoolStats::panicked`] and skipped
     /// — the memo unpoisons the key, so a later [`Engine::cell`] call
-    /// computes it again — while every other cell completes normally.
-    /// Returns this batch's stats.
+    /// computes it again — while every other cell, the later cells of its
+    /// class included, completes normally. Returns this batch's stats.
     pub fn prefetch_isolated(&self, specs: &[CellSpec]) -> PoolStats {
         self.prefetch_batch(specs, true)
     }
 
     /// Compute the distinct missing cells of `specs` as one pool batch,
-    /// isolating panics when `catching`, and fold the batch's stats into
+    /// isolating panics when `isolate`, and fold the batch's stats into
     /// the run's pool report.
-    fn prefetch_batch(&self, specs: &[CellSpec], catching: bool) -> PoolStats {
+    fn prefetch_batch(&self, specs: &[CellSpec], isolate: bool) -> PoolStats {
         let mut seen = HashSet::with_hasher(SpecHash::default());
-        let jobs: Vec<_> = specs
-            .iter()
-            .filter(|&spec| {
-                !self.cells.seed_with(spec, || self.take_from_disk(spec)) && seen.insert(spec)
-            })
-            .map(|spec| {
-                move || {
-                    let _ = self.output(spec);
+        let mut class_jobs: HashMap<CellSpec, usize, SpecHash> = HashMap::default();
+        let mut jobs: Vec<Vec<&CellSpec>> = Vec::new();
+        let mut singles = Vec::new();
+        for spec in specs {
+            if self.cells.seed_with(spec, || self.take_from_disk(spec)) || !seen.insert(spec) {
+                continue;
+            }
+            match spec.reuse_class() {
+                Some(class) => {
+                    let job = *class_jobs.entry(class).or_insert_with(|| {
+                        jobs.push(Vec::new());
+                        jobs.len() - 1
+                    });
+                    jobs[job].push(spec);
                 }
-            })
-            .collect();
+                None => singles.push(vec![spec]),
+            }
+        }
+        // The classes first: they are the long jobs.
+        jobs.append(&mut singles);
         if jobs.is_empty() {
             return PoolStats::default();
         }
-        let stats = if catching {
-            run_batch_catching(self.workers, jobs)
-        } else {
-            run_batch(self.workers, jobs)
+        let panicked = AtomicU64::new(0);
+        let run = |cells: Vec<&CellSpec>| {
+            for spec in cells {
+                if !isolate {
+                    let _ = self.output(spec);
+                } else if catch_unwind(AssertUnwindSafe(|| self.output(spec))).is_err() {
+                    panicked.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         };
+        let mut stats = run_batch(
+            self.workers,
+            jobs.into_iter().map(|cells| || run(cells)).collect(),
+        );
+        stats.panicked = panicked.into_inner();
         let mut timing = self.timing.lock().unwrap();
         timing.pool.batches += 1;
         timing.pool.stats.absorb(&stats);
@@ -369,20 +388,13 @@ impl Engine {
             }
             // Registered only now that the output is in the memo, so a
             // sibling that finds the run can always read its output.
-            if let (
-                Some(record),
-                CellSpec::Detailed {
-                    workload,
-                    config,
-                    instructions,
-                    seed,
-                },
-            ) = (record, spec)
+            if let (Some(record), CellSpec::Detailed { config, .. }, Some(class)) =
+                (record, spec, spec.reuse_class())
             {
                 self.siblings
                     .lock()
                     .unwrap()
-                    .entry((workload.name(), *instructions, *seed))
+                    .entry(class)
                     .or_default()
                     .push(SiblingRun {
                         config: *config,
@@ -426,8 +438,8 @@ impl Engine {
         })
     }
 
-    /// The spec and output of a simulated sibling run whose record covers
-    /// the detailed cell `spec`, if there is one.
+    /// The spec and output of a simulated sibling run of its reuse class
+    /// whose record covers the detailed cell `spec`, if there is one.
     fn sibling_output(&self, spec: &CellSpec) -> Option<(CellSpec, Arc<CellOutput>)> {
         let CellSpec::Detailed {
             workload,
@@ -441,7 +453,7 @@ impl Engine {
         let source = {
             let siblings = self.siblings.lock().unwrap();
             let run = siblings
-                .get(&(workload.name(), instructions, seed))?
+                .get(&spec.reuse_class()?)?
                 .iter()
                 .find(|run| run.record.covers(&run.config, &config))?;
             CellSpec::Detailed {
@@ -531,71 +543,9 @@ impl Engine {
         }
     }
 
-    /// Per-cell timing and cache counters as a `ci-obs` [`Registry`]:
-    /// an aggregate `cell_wall_us` histogram, one `cell_us.<key> = micros`
-    /// counter per computed cell, and `cells_*` cache counters. Export with
-    /// [`Registry::to_jsonl`].
-    #[must_use]
-    pub fn timing_registry(&self) -> Registry {
-        let mut r = Registry::new();
-        r.inc("cells_computed", self.cells_computed());
-        r.inc("cells_served", self.cells_served());
-        r.inc("cells_cache_hits", self.cache_hits());
-        r.inc("cells_loaded_from_disk", self.cells_loaded());
-        r.inc("cache_corrupt_lines", self.corrupt_lines());
-        r.inc(
-            "cache_quarantined_files",
-            self.quarantined.lock().unwrap().len() as u64,
-        );
-        let bounds: Vec<u64> = (0..=24).map(|p| 1u64 << p).collect(); // 1us..16s
-        let timing = self.timing.lock().unwrap();
-        for t in timing.cells.iter().filter(|t| t.disposition == "computed") {
-            let us = u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX);
-            r.observe("cell_wall_us", &bounds, us);
-            r.inc(&format!("cell_us.{}", t.spec.key()), us.max(1));
-        }
-        r
-    }
-
-    /// The full `--timing` export: the [`Engine::timing_registry`] lines
-    /// plus one labelled line per cell request —
-    /// `{"metric":"cell","key":..,"label":..,"workload":..,"family":..,
-    /// "wall_us":..,"disposition":"computed|memo_hit|disk_hit",
-    /// "served_from":..,...}` — so timing data joins with [`RunMetrics`]
-    /// without guesswork. `served_from` is the key of the sibling run a
-    /// computed cell was served from, `null` for a simulated cell or a hit.
-    #[must_use]
-    pub fn timing_jsonl(&self, binary: &str) -> String {
-        let mut out = self.timing_registry().to_jsonl(&[("binary", binary)]);
-        let timing = self.timing.lock().unwrap();
-        for t in &timing.cells {
-            let line = JsonValue::obj([
-                ("metric", JsonValue::from("cell")),
-                ("key", JsonValue::Str(t.spec.key().to_string())),
-                ("label", JsonValue::Str(t.spec.label())),
-                ("workload", t.spec.workload_name().into()),
-                ("family", JsonValue::Str(t.spec.family())),
-                (
-                    "wall_us",
-                    u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX).into(),
-                ),
-                ("disposition", t.disposition.into()),
-                (
-                    "served_from",
-                    t.served_from
-                        .map_or(JsonValue::Null, |key| JsonValue::Str(key.to_string())),
-                ),
-                ("binary", binary.into()),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        out
-    }
-
     /// The run-level [`RunMetrics`] report: labelled per-cell costs
-    /// (slowest first), cache hit rates by disposition, and the pool's
-    /// scheduling statistics.
+    /// (slowest first) with the run each served cell came from, cache hit
+    /// rates by disposition, and the pool's statistics.
     #[must_use]
     pub fn run_metrics(&self, binary: &str) -> RunMetrics {
         let timing = self.timing.lock().unwrap();
@@ -609,6 +559,7 @@ impl Engine {
                 family: t.spec.family(),
                 wall_us: u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX),
                 disposition: t.disposition,
+                served_from: t.served_from.map(|key| key.to_string()),
             })
             .collect();
         cells.sort_by(|a, b| b.wall_us.cmp(&a.wall_us).then_with(|| a.key.cmp(&b.key)));
@@ -640,48 +591,13 @@ impl Engine {
         }
     }
 
-    /// Human-readable timing summary: totals plus the `n` slowest cells.
-    #[must_use]
-    pub fn timing_summary(&self, n: usize) -> String {
-        let timing = self.timing.lock().unwrap();
-        let computed: Vec<&CellTiming> = timing
-            .cells
-            .iter()
-            .filter(|t| t.disposition == "computed")
-            .collect();
-        let total: Duration = computed.iter().map(|t| t.wall).sum();
-        let mut slowest = computed.clone();
-        slowest.sort_by_key(|t| std::cmp::Reverse(t.wall));
-        let mut out = format!(
-            "cells: {} computed ({:.2}s simulated), {} cache hits, {} loaded from disk, {} corrupt lines, {} workers\n",
-            computed.len(),
-            total.as_secs_f64(),
-            self.cache_hits(),
-            self.cells_loaded(),
-            self.corrupt_lines(),
-            self.workers,
-        );
-        let served = self.cells_served();
-        if served > 0 {
-            out.push_str(&format!(
-                "  {served} of the {} computed cells were served from a sibling run instead of simulated\n",
-                computed.len()
-            ));
-        }
-        for t in slowest.into_iter().take(n) {
-            out.push_str(&format!(
-                "  {:>9.1}ms  {}\n",
-                t.wall.as_secs_f64() * 1e3,
-                t.spec.canonical()
-            ));
-        }
-        out
-    }
-
     fn load_cache(&self, path: &Path) {
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             return; // first run: nothing persisted yet
         };
+        // Bytes that are not UTF-8 become U+FFFD: the lines that hold them
+        // fail their checks and count as corrupt, and the others load.
+        let text = String::from_utf8_lossy(&bytes);
         let mut corrupt_here = 0u64;
         let mut first_bad: Option<usize> = None;
         let mut disk = self.disk.lock().unwrap();
@@ -714,7 +630,7 @@ impl Engine {
                     "{corrupt_here} corrupt line(s), first at line {}",
                     first_bad.unwrap_or(0)
                 );
-                if let Ok(qpath) = quarantine_cache_file(dir, path, &text, &reason) {
+                if let Ok(qpath) = quarantine_cache_file(dir, path, &bytes, &reason) {
                     self.quarantined.lock().unwrap().push(qpath);
                 }
             }

@@ -2,12 +2,16 @@
 //! a run's host time went, in one machine-readable report.
 //!
 //! [`RunMetrics`] aggregates per-cell wall times (labelled by workload and
-//! configuration family, with their cache disposition), the memo/disk cache
-//! counters, and the work-stealing pool's scheduling statistics. Exported by
-//! every experiment binary via `--metrics <path>` as a single JSON object.
+//! configuration family, with their cache disposition and, for a cell
+//! served from a sibling run, that run's key), the memo/disk cache
+//! counters, and the pool's statistics. Exported by every experiment
+//! binary via `--metrics <path>` as a single JSON object
+//! (`run_metrics/v2`); its [`RunMetrics::summary`] goes to stderr.
 //!
-//! These are *host-side* measurements: they vary run to run and are
-//! deliberately excluded from the byte-compared `--json` artifacts.
+//! Wall times are *host-side* measurements: they vary run to run and are
+//! deliberately excluded from the byte-compared `--json` artifacts. Which
+//! cells were served, and from which runs, does not vary with the worker
+//! count.
 
 use crate::pool::PoolStats;
 use ci_obs::JsonValue;
@@ -15,8 +19,7 @@ use ci_obs::JsonValue;
 /// One cell request: how it was satisfied and what it cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellReport {
-    /// Content-hash key of the spec (joins with `cells.jsonl` and timing
-    /// counters).
+    /// Content-hash key of the spec.
     pub key: String,
     /// Short human label (`detailed/go/w256`, ...).
     pub label: String,
@@ -28,6 +31,9 @@ pub struct CellReport {
     pub wall_us: u64,
     /// `computed`, `memo_hit`, or `disk_hit`.
     pub disposition: &'static str,
+    /// The key of the simulated sibling run a `computed` cell was served
+    /// from; `None` for a simulated cell or a hit.
+    pub served_from: Option<String>,
 }
 
 /// Shape of the design-space sweep a run executed (attached by the
@@ -47,7 +53,7 @@ pub struct SweepSummary {
 
 impl SweepSummary {
     /// The summary as a JSON object (nested under `"sweep"` in
-    /// `run_metrics/v1`).
+    /// `run_metrics/v2`).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj([
@@ -59,8 +65,8 @@ impl SweepSummary {
     }
 }
 
-/// Scheduling statistics of the engine's work-stealing pool, summed over
-/// every prefetch batch of the run.
+/// Statistics of the engine's pool, summed over every prefetch batch of the
+/// run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolReport {
     /// Prefetch batches executed.
@@ -96,7 +102,7 @@ pub struct RunMetrics {
     pub compute_wall_us: u64,
     /// Per-request reports, slowest first.
     pub cells: Vec<CellReport>,
-    /// Pool scheduling statistics.
+    /// Pool statistics.
     pub pool: PoolReport,
     /// The design-space sweep this run executed, if it was an explorer run.
     pub sweep: Option<SweepSummary>,
@@ -116,7 +122,7 @@ impl RunMetrics {
         }
     }
 
-    /// The report as one JSON object (schema `run_metrics/v1`).
+    /// The report as one JSON object (schema `run_metrics/v2`).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let cells: Vec<JsonValue> = self
@@ -130,12 +136,18 @@ impl RunMetrics {
                     ("family", JsonValue::Str(c.family.clone())),
                     ("wall_us", c.wall_us.into()),
                     ("disposition", c.disposition.into()),
+                    (
+                        "served_from",
+                        c.served_from
+                            .as_ref()
+                            .map_or(JsonValue::Null, |key| JsonValue::Str(key.clone())),
+                    ),
                 ])
             })
             .collect();
         let p = &self.pool.stats;
         JsonValue::obj([
-            ("schema", JsonValue::from("run_metrics/v1")),
+            ("schema", JsonValue::from("run_metrics/v2")),
             ("binary", JsonValue::Str(self.binary.clone())),
             (
                 "sweep",
@@ -159,7 +171,6 @@ impl RunMetrics {
                     ("batches", JsonValue::from(self.pool.batches)),
                     ("jobs", self.pool.stats.jobs.into()),
                     ("threads", p.threads.into()),
-                    ("steals", p.steals.into()),
                     (
                         "wall_us",
                         u64::try_from(p.wall.as_micros()).unwrap_or(u64::MAX).into(),
@@ -168,7 +179,6 @@ impl RunMetrics {
                         "busy_us",
                         u64::try_from(p.busy.as_micros()).unwrap_or(u64::MAX).into(),
                     ),
-                    ("max_queue_depth", p.max_queue_depth.into()),
                     ("panicked", p.panicked.into()),
                     ("utilization", p.utilization().into()),
                 ]),
@@ -177,26 +187,37 @@ impl RunMetrics {
         ])
     }
 
-    /// Compact human summary for stderr.
+    /// The stderr summary: the cache counters, how many computed cells were
+    /// served from a sibling run, and the five slowest computed cells by
+    /// label and key.
     #[must_use]
     pub fn summary(&self) -> String {
-        let p = &self.pool.stats;
-        format!(
-            "run metrics: {} computed ({:.2}s, {} served from a sibling run), {} memo hits, \
-             {} disk hits ({:.0}% cached); \
-             pool: {} batches, {} jobs, {} steals, {:.0}% utilization over {} threads\n",
+        let mut out = format!(
+            "cells: {} computed ({:.2}s simulated), {} cache hits, {} loaded from disk, \
+             {} corrupt lines, {} workers\n",
             self.cells_computed,
             self.compute_wall_us as f64 / 1e6,
-            self.cells_served,
-            self.memo_hits,
-            self.disk_hits,
-            100.0 * self.hit_rate(),
-            self.pool.batches,
-            p.jobs,
-            p.steals,
-            100.0 * p.utilization(),
-            p.threads.max(1),
-        )
+            self.memo_hits + self.disk_hits,
+            self.cells_loaded,
+            self.corrupt_lines,
+            self.workers,
+        );
+        if self.cells_served > 0 {
+            out.push_str(&format!(
+                "  {} of the {} computed cells were served from a sibling run instead of simulated\n",
+                self.cells_served, self.cells_computed
+            ));
+        }
+        let computed = self.cells.iter().filter(|c| c.disposition == "computed");
+        for c in computed.take(5) {
+            out.push_str(&format!(
+                "  {:>9.1}ms  {}  {}\n",
+                c.wall_us as f64 / 1e3,
+                c.label,
+                c.key
+            ));
+        }
+        out
     }
 }
 
@@ -224,16 +245,15 @@ mod tests {
                 family: "ci_w256".into(),
                 wall_us: 1200,
                 disposition: "computed",
+                served_from: Some("0a0b".into()),
             }],
             pool: PoolReport {
                 batches: 1,
                 stats: PoolStats {
                     threads: 2,
                     jobs: 2,
-                    steals: 1,
                     wall: Duration::from_millis(1),
                     busy: Duration::from_millis(2),
-                    max_queue_depth: 1,
                     panicked: 0,
                 },
             },
@@ -247,18 +267,28 @@ mod tests {
         assert!((m.hit_rate() - 0.75).abs() < 1e-12);
         let v = m.to_json();
         let back = ci_obs::json::parse(&v.render()).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("run_metrics/v1"));
+        assert_eq!(back.get("schema").unwrap().as_str(), Some("run_metrics/v2"));
         assert_eq!(back.get("cells_computed").unwrap().as_i64(), Some(2));
         assert_eq!(back.get("cells_served").unwrap().as_i64(), Some(1));
         let pool = back.get("pool").unwrap();
-        assert_eq!(pool.get("steals").unwrap().as_i64(), Some(1));
+        assert_eq!(pool.get("threads").unwrap().as_i64(), Some(2));
+        assert!(pool.get("steals").is_none() && pool.get("max_queue_depth").is_none());
         let cells = back.get("cells").unwrap().as_array().unwrap();
         assert_eq!(cells[0].get("family").unwrap().as_str(), Some("ci_w256"));
         assert_eq!(
             cells[0].get("disposition").unwrap().as_str(),
             Some("computed")
         );
-        assert!(m.summary().contains("memo hits"));
+        assert_eq!(cells[0].get("served_from").unwrap().as_str(), Some("0a0b"));
+        let summary = m.summary();
+        assert!(summary.starts_with(
+            "cells: 2 computed (0.00s simulated), 6 cache hits, 1 loaded from disk, \
+             0 corrupt lines, 2 workers\n  1 of the 2 computed cells were served"
+        ));
+        assert!(
+            summary.ends_with("      1.2ms  detailed/go/w256  00ff\n"),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -483,7 +483,7 @@ impl Field for CellOutput {
     }
 }
 
-/// Quarantine a corrupt cache file: write its full content under
+/// Quarantine a corrupt cache file: write its bytes, unchanged, under
 /// `<dir>/quarantine/`, prefixed with a `#`-comment reason header, then
 /// remove the original. The quarantine file name embeds the content hash,
 /// so re-quarantining identical content is idempotent and distinct
@@ -498,7 +498,7 @@ impl Field for CellOutput {
 pub fn quarantine_cache_file(
     dir: &Path,
     path: &Path,
-    content: &str,
+    content: &[u8],
     reason: &str,
 ) -> std::io::Result<PathBuf> {
     let qdir = dir.join("quarantine");
@@ -506,12 +506,15 @@ pub fn quarantine_cache_file(
     let file_name = path
         .file_name()
         .map_or_else(|| "cache".to_owned(), |n| n.to_string_lossy().into_owned());
-    let qpath = qdir.join(format!("{file_name}.{:016x}", fnv1a(content.as_bytes())));
-    let mut body = String::new();
-    body.push_str("# quarantined cache file — do not trust, kept for diagnosis\n");
-    body.push_str(&format!("# reason: {reason}\n"));
-    body.push_str(&format!("# original: {}\n", path.display()));
-    body.push_str(content);
+    let qpath = qdir.join(format!("{file_name}.{:016x}", fnv1a(content)));
+    let mut body = format!(
+        "# quarantined cache file — do not trust, kept for diagnosis\n\
+         # reason: {reason}\n\
+         # original: {}\n",
+        path.display()
+    )
+    .into_bytes();
+    body.extend_from_slice(content);
     std::fs::write(&qpath, body)?;
     std::fs::remove_file(path)?;
     Ok(qpath)

@@ -1,7 +1,8 @@
 //! Supervision-layer guarantees of the runner primitives: the memo's
 //! panic-unpoisoning protocol under concurrent waiters, panic isolation in
-//! `prefetch_isolated`, cache quarantine of corrupt files, and cache-write
-//! errors surfacing as values.
+//! `prefetch_isolated` (also inside a reuse class), cache quarantine of
+//! corrupt files (also of bytes that are not UTF-8), and cache-write errors
+//! surfacing as values.
 
 use ci_core::PipelineConfig;
 use ci_runner::engine::parse_cache_line;
@@ -153,7 +154,10 @@ fn prefetch_isolated_contains_a_panicking_cell() {
         seed: 0,
     });
     let stats = eng.prefetch_isolated(&specs);
-    assert_eq!(stats.jobs, specs.len());
+    assert_eq!(
+        stats.jobs, 8,
+        "two one-cell reuse classes and six study cells"
+    );
     assert_eq!(stats.panicked, 1);
     let reference = Engine::serial();
     for spec in specs.iter().filter(|&s| *s != panicking_cell()) {
@@ -161,6 +165,38 @@ fn prefetch_isolated_contains_a_panicking_cell() {
     }
     let again = catch_unwind(AssertUnwindSafe(|| eng.cell(&panicking_cell())));
     assert!(again.is_err(), "the bad cell must panic again, not hang");
+}
+
+/// A panicking cell inside a reuse class is counted, and the class's later
+/// cells still run: the three go cells below differ only in fields the
+/// sensitivity record handles, so they are one job, and the middle one's
+/// confidence threshold is out of range, which panics when its pipeline is
+/// built.
+#[test]
+fn a_panicking_cell_leaves_the_rest_of_its_class_running() {
+    let cell = |config| CellSpec::Detailed {
+        workload: Workload::GoLike,
+        config,
+        instructions: 2_000,
+        seed: 0x5EED,
+    };
+    let specs = [
+        cell(PipelineConfig::ci(256)),
+        cell(PipelineConfig {
+            conf_threshold: 16,
+            ..PipelineConfig::ci(256)
+        }),
+        cell(PipelineConfig::ci(128)),
+    ];
+    let eng = Engine::with_workers(2);
+    let stats = eng.prefetch_isolated(&specs);
+    assert_eq!((stats.jobs, stats.panicked), (1, 1));
+    assert_eq!(eng.cells_computed(), 2);
+    let reference = Engine::serial();
+    for spec in [&specs[0], &specs[2]] {
+        assert_eq!(eng.cell(spec), reference.cell(spec));
+    }
+    assert_eq!(eng.cells_computed(), 2, "the class's cells are in the memo");
 }
 
 /// Satellite: a cache file with corrupt lines is quarantined with a reason
@@ -226,6 +262,50 @@ fn corrupt_cache_file_is_quarantined_with_reason() {
     assert_eq!(eng2.cells_loaded(), 1);
     assert_eq!(eng2.corrupt_lines(), 0);
     assert!(eng2.quarantined_files().is_empty());
+}
+
+/// A byte that is not UTF-8 spoils only its own line: the other lines load,
+/// the line counts as corrupt, nothing is recomputed, and the quarantined
+/// copy keeps the file byte for byte.
+#[test]
+fn a_non_utf8_byte_spoils_only_its_line() {
+    let tmp = TempDir::new("non-utf8");
+    let specs: Vec<CellSpec> = (0..5).map(tiny_spec).collect();
+    let engine = || {
+        Engine::new(EngineOptions {
+            workers: 1,
+            cache_dir: Some(tmp.0.clone()),
+        })
+    };
+    let cold = engine();
+    cold.prefetch(&specs);
+    cold.save_cache().unwrap();
+    let cache = tmp.0.join(CACHE_FILE);
+    let mut bytes = std::fs::read(&cache).unwrap();
+    bytes.extend_from_slice(b"\xff\n");
+    std::fs::write(&cache, &bytes).unwrap();
+
+    let warm = engine();
+    warm.prefetch(&specs);
+    assert_eq!(
+        (
+            warm.cells_loaded(),
+            warm.corrupt_lines(),
+            warm.cells_computed()
+        ),
+        (5, 1, 0)
+    );
+    let quarantined = warm.quarantined_files();
+    assert_eq!(quarantined.len(), 1);
+    let qbody = std::fs::read(&quarantined[0]).unwrap();
+    assert!(qbody.starts_with(b"# quarantined cache file"));
+    assert!(
+        qbody.ends_with(&bytes),
+        "the quarantined copy must hold the original bytes, 0xff included"
+    );
+    for spec in &specs {
+        assert_eq!(warm.cell(spec), cold.cell(spec));
+    }
 }
 
 /// A cache directory that cannot be created (the path is a regular file)

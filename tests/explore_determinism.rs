@@ -53,16 +53,60 @@ impl Drop for TempDir {
     }
 }
 
+/// Every served cell's key and the key of the run it was served from, in
+/// key order.
+fn served_pairs(engine: &Engine) -> Vec<(String, String)> {
+    let mut pairs: Vec<_> = engine
+        .run_metrics("explore-test")
+        .cells
+        .into_iter()
+        .filter_map(|c| Some((c.key, c.served_from?)))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The report, and which cells are served from which runs, are the same
+/// at every worker count. The second sweep serves cells across windows
+/// and preemption policies in four reuse classes (two fetch widths per
+/// workload).
 #[test]
 fn report_is_byte_identical_across_worker_counts() {
-    let s = sweep("machine=base,ci,window=32,64,fetch=4,8,workload=go,jpeg");
-    let serial = report(&Engine::serial(), &s);
-    for workers in [4, 8] {
-        let parallel = report(&Engine::with_workers(workers), &s);
-        assert_eq!(
-            serial, parallel,
-            "explore_report/v1 must be byte-identical at {workers} workers"
-        );
+    for (spec, serves) in [
+        (
+            "machine=base,ci,window=32,64,fetch=4,8,workload=go,jpeg",
+            false,
+        ),
+        (
+            "machine=base,ci,window=128,256,512,fetch=8,16,preempt=simple,optimal,\
+             workload=go,compress",
+            true,
+        ),
+    ] {
+        let s = sweep(spec);
+        let serial_engine = Engine::serial();
+        let serial = report(&serial_engine, &s);
+        let serial_served = served_pairs(&serial_engine);
+        assert_eq!(serial_engine.cells_served() > 0, serves, "{spec}");
+        assert_eq!(serial_served.len() as u64, serial_engine.cells_served());
+        for workers in [4, 8] {
+            let engine = Engine::with_workers(workers);
+            let parallel = report(&engine, &s);
+            assert_eq!(
+                serial, parallel,
+                "explore_report/v1 must be byte-identical at {workers} workers"
+            );
+            assert_eq!(
+                engine.cells_served(),
+                serial_engine.cells_served(),
+                "{spec}: served cells differ at {workers} workers"
+            );
+            assert_eq!(
+                served_pairs(&engine),
+                serial_served,
+                "{spec}: cells were served from other runs at {workers} workers"
+            );
+        }
     }
 }
 

@@ -146,7 +146,6 @@ fn served_cells_match_standalone_simulation() {
     let engine = Engine::serial();
     let mut programs = HashMap::new();
     let mut configs = HashMap::new();
-    let mut keys = HashMap::new();
     for spec in &detailed {
         let CellSpec::Detailed {
             workload,
@@ -157,8 +156,7 @@ fn served_cells_match_standalone_simulation() {
         else {
             unreachable!("only detailed cells are kept")
         };
-        configs.insert(spec.canonical(), config);
-        keys.insert(spec.key(), config);
+        configs.insert(spec.key().to_string(), config);
         let program = programs.entry((workload, instructions)).or_insert_with(|| {
             workload.build(&WorkloadParams {
                 scale: workload.scale_for(instructions),
@@ -176,11 +174,16 @@ fn served_cells_match_standalone_simulation() {
     }
 
     assert_eq!(engine.cells_computed(), detailed.len() as u64);
-    let served = engine.served_cells();
+    let served: Vec<(String, String)> = engine
+        .run_metrics("shared_reference")
+        .cells
+        .into_iter()
+        .filter_map(|c| Some((c.key, c.served_from?)))
+        .collect();
     assert_eq!(served.len() as u64, engine.cells_served());
     let mut fields = HashSet::new();
     for (cell, source) in &served {
-        fields.extend(differing_fields(&configs[cell], &keys[source]));
+        fields.extend(differing_fields(&configs[cell], &configs[source]));
     }
     let mut missing: Vec<&str> = [
         "window",
