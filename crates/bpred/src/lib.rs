@@ -8,9 +8,9 @@
 //!   mispredictions (Appendix A.3).
 //! - [`CorrelatedTargetBuffer`]: target prediction for indirect calls and
 //!   jumps (Chang/Hao/Patt style, history-hashed index).
-//! - [`ReturnAddressStack`]: checkpointable return-address stack; with
-//!   unbounded depth and retirement-order use it is the paper's "perfect"
-//!   RAS.
+//! - [`ReturnAddressStack`]: return-address stack whose positions are
+//!   `Copy` [`RasTop`] handles, so a checkpoint is a copy; with unbounded
+//!   depth and retirement-order use it is the paper's "perfect" RAS.
 //! - [`ConfidenceEstimator`]: resetting-counter branch confidence
 //!   (Jacobsen/Rotenberg/Smith), used in the false-misprediction discussion.
 //! - [`TfrTable`] and [`TfrStats`]: true/false-misprediction history
@@ -45,6 +45,6 @@ mod tfr;
 pub use confidence::ConfidenceEstimator;
 pub use ctb::CorrelatedTargetBuffer;
 pub use gshare::{GlobalHistory, Gshare};
-pub use ras::ReturnAddressStack;
+pub use ras::{RasTop, ReturnAddressStack};
 pub use suite::{Prediction, PredictorConfig, PredictorSuite};
 pub use tfr::{CoveragePoint, TfrIndexing, TfrStats, TfrTable};

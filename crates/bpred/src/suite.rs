@@ -1,6 +1,6 @@
 //! The paper's full front-end prediction stack as one bundle.
 
-use crate::{CorrelatedTargetBuffer, GlobalHistory, Gshare, ReturnAddressStack};
+use crate::{CorrelatedTargetBuffer, GlobalHistory, Gshare, RasTop, ReturnAddressStack};
 use ci_isa::{Inst, InstClass, Pc};
 
 /// Configuration for a [`PredictorSuite`].
@@ -74,6 +74,7 @@ pub struct PredictorSuite {
     gshare: Gshare,
     ctb: CorrelatedTargetBuffer,
     ras: ReturnAddressStack,
+    ras_top: RasTop,
     hist: GlobalHistory,
 }
 
@@ -88,6 +89,7 @@ impl PredictorSuite {
                 None => ReturnAddressStack::perfect(),
                 Some(d) => ReturnAddressStack::bounded(d),
             },
+            ras_top: RasTop::EMPTY,
             hist: GlobalHistory::new(),
         }
     }
@@ -121,14 +123,14 @@ impl PredictorSuite {
                 taken: None,
             },
             InstClass::Call => {
-                self.ras.push(fallthrough);
+                self.ras.push(&mut self.ras_top, fallthrough);
                 Prediction {
                     next_pc: inst.static_target().unwrap_or(fallthrough),
                     taken: None,
                 }
             }
             InstClass::Return => {
-                let next_pc = self.ras.pop().unwrap_or(fallthrough);
+                let next_pc = self.ras.pop(&mut self.ras_top).unwrap_or(fallthrough);
                 Prediction {
                     next_pc,
                     taken: None,
@@ -139,7 +141,7 @@ impl PredictorSuite {
                 self.ctb.update(pc, self.hist, actual_next);
                 if inst.dest().is_some() {
                     // Indirect call: push the return address.
-                    self.ras.push(fallthrough);
+                    self.ras.push(&mut self.ras_top, fallthrough);
                 }
                 Prediction {
                     next_pc,

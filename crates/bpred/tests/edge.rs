@@ -1,19 +1,22 @@
 //! Edge-case tests for the predictor structures: RAS depth-bound behavior,
 //! CTB index aliasing, and confidence-counter saturation.
 
-use ci_bpred::{ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, ReturnAddressStack};
+use ci_bpred::{
+    ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, RasTop, ReturnAddressStack,
+};
 use ci_isa::Pc;
 
 #[test]
 fn ras_underflow_is_empty_not_garbage() {
     let mut r = ReturnAddressStack::perfect();
+    let mut t = RasTop::EMPTY;
     for _ in 0..8 {
-        assert_eq!(r.pop(), None);
+        assert_eq!(r.pop(&mut t), None);
     }
     // A stack that underflowed still accepts pushes normally.
-    r.push(Pc(7));
-    assert_eq!(r.pop(), Some(Pc(7)));
-    assert_eq!(r.pop(), None);
+    r.push(&mut t, Pc(7));
+    assert_eq!(r.pop(&mut t), Some(Pc(7)));
+    assert_eq!(r.pop(&mut t), None);
 }
 
 #[test]
@@ -22,14 +25,15 @@ fn ras_overflow_keeps_newest_in_lifo_order() {
     // `depth` addresses, popped newest-first (a hardware RAS overwrites the
     // oldest slot circularly).
     let mut r = ReturnAddressStack::bounded(4);
+    let mut t = RasTop::EMPTY;
     for i in 0..100u32 {
-        r.push(Pc(i));
+        r.push(&mut t, Pc(i));
     }
-    assert_eq!(r.depth(), 4);
+    assert_eq!(t.depth(), 4);
     for i in (96..100u32).rev() {
-        assert_eq!(r.pop(), Some(Pc(i)));
+        assert_eq!(r.pop(&mut t), Some(Pc(i)));
     }
-    assert_eq!(r.pop(), None);
+    assert_eq!(r.pop(&mut t), None);
 }
 
 #[test]
@@ -38,41 +42,44 @@ fn ras_alternating_wraparound_tracks_matched_pairs() {
     // depth stays within the bound, predictions stay exact even after the
     // stack has wrapped many times.
     let mut r = ReturnAddressStack::bounded(3);
+    let mut t = RasTop::EMPTY;
     for round in 0..50u32 {
         let base = round * 10;
-        r.push(Pc(base));
-        r.push(Pc(base + 1));
-        assert_eq!(r.pop(), Some(Pc(base + 1)));
-        assert_eq!(r.pop(), Some(Pc(base)));
-        assert_eq!(r.depth(), 0);
+        r.push(&mut t, Pc(base));
+        r.push(&mut t, Pc(base + 1));
+        assert_eq!(r.pop(&mut t), Some(Pc(base + 1)));
+        assert_eq!(r.pop(&mut t), Some(Pc(base)));
+        assert_eq!(t.depth(), 0);
     }
 }
 
 #[test]
-fn ras_snapshot_restore_across_overflow() {
+fn ras_checkpoint_rewinds_across_overflow() {
     let mut r = ReturnAddressStack::bounded(2);
-    r.push(Pc(1));
-    r.push(Pc(2));
-    let snap = r.snapshot();
-    // Overflow after the snapshot: Pc(1) is dropped from the live stack.
-    r.push(Pc(3));
-    r.push(Pc(4));
-    assert_eq!(r.depth(), 2);
-    // Restore rewinds both contents and bound.
-    r.restore(&snap);
-    assert_eq!(r.pop(), Some(Pc(2)));
-    assert_eq!(r.pop(), Some(Pc(1)));
-    assert_eq!(r.pop(), None);
+    let mut t = RasTop::EMPTY;
+    r.push(&mut t, Pc(1));
+    r.push(&mut t, Pc(2));
+    let checkpoint = t;
+    // Overflow after the checkpoint: Pc(1) is dropped from the live stack.
+    r.push(&mut t, Pc(3));
+    r.push(&mut t, Pc(4));
+    assert_eq!(t.depth(), 2);
+    // Copying the checkpoint back rewinds the contents.
+    t = checkpoint;
+    assert_eq!(r.pop(&mut t), Some(Pc(2)));
+    assert_eq!(r.pop(&mut t), Some(Pc(1)));
+    assert_eq!(r.pop(&mut t), None);
 }
 
 #[test]
-fn ras_zero_depth_snapshot_roundtrip() {
+fn ras_zero_depth_checkpoint_stays_empty() {
     let mut r = ReturnAddressStack::bounded(0);
-    r.push(Pc(1));
-    let snap = r.snapshot();
-    r.restore(&snap);
-    assert_eq!(r.depth(), 0);
-    assert_eq!(r.pop(), None);
+    let mut t = RasTop::EMPTY;
+    r.push(&mut t, Pc(1));
+    let checkpoint = t;
+    assert_eq!(checkpoint, RasTop::EMPTY);
+    assert_eq!(t.depth(), 0);
+    assert_eq!(r.pop(&mut t), None);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property tests: predictor learning, history handling and TFR-curve
 //! invariants.
 
-use ci_bpred::{GlobalHistory, Gshare, ReturnAddressStack, TfrStats};
+use ci_bpred::{GlobalHistory, Gshare, RasTop, ReturnAddressStack, TfrStats};
 use ci_isa::Pc;
 use proptest::prelude::*;
 
@@ -32,13 +32,62 @@ proptest! {
     #[test]
     fn ras_is_lifo(pushes in prop::collection::vec(0u32..1_000_000, 0..40)) {
         let mut ras = ReturnAddressStack::perfect();
+        let mut top = RasTop::EMPTY;
         for &p in &pushes {
-            ras.push(Pc(p));
+            ras.push(&mut top, Pc(p));
         }
         for &p in pushes.iter().rev() {
-            prop_assert_eq!(ras.pop(), Some(Pc(p)));
+            prop_assert_eq!(ras.pop(&mut top), Some(Pc(p)));
         }
-        prop_assert_eq!(ras.pop(), None);
+        prop_assert_eq!(ras.pop(&mut top), None);
+    }
+
+    /// Pushes, pops, checkpoints and restores, mostly pushes so the stack
+    /// runs past the 64-entry bound, agree with a `Vec` that drops its
+    /// oldest entry on a full push and is copied whole to checkpoint it.
+    #[test]
+    fn ras_checkpoints_match_a_copied_vec(
+        ops in prop::collection::vec((0u8..10, 0u32..1_000_000), 0..400),
+        perfect in any::<bool>(),
+    ) {
+        let bound = if perfect { usize::MAX } else { 64 };
+        let mut ras = if perfect {
+            ReturnAddressStack::perfect()
+        } else {
+            ReturnAddressStack::bounded(bound)
+        };
+        let mut top = RasTop::EMPTY;
+        let mut model: Vec<Pc> = Vec::new();
+        let mut saved: Vec<(RasTop, Vec<Pc>)> = Vec::new();
+        for &(op, v) in &ops {
+            match op {
+                0..=5 => {
+                    ras.push(&mut top, Pc(v));
+                    if model.len() == bound {
+                        model.remove(0);
+                    }
+                    model.push(Pc(v));
+                }
+                6 | 7 => prop_assert_eq!(ras.pop(&mut top), model.pop()),
+                8 => saved.push((top, model.clone())),
+                _ => {
+                    if !saved.is_empty() {
+                        let (t, m) = &saved[v as usize % saved.len()];
+                        top = *t;
+                        model.clone_from(m);
+                    }
+                }
+            }
+            prop_assert_eq!(top.depth(), model.len());
+        }
+        // Every checkpoint still reads back exactly what it saved.
+        for (t, m) in &saved {
+            let mut t = *t;
+            for &pc in m.iter().rev() {
+                prop_assert_eq!(ras.pop(&mut t), Some(pc));
+            }
+            prop_assert_eq!(ras.pop(&mut t), None);
+        }
     }
 
     #[test]

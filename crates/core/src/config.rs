@@ -263,6 +263,21 @@ impl PipelineConfig {
             ..PipelineConfig::ci(window)
         }
     }
+
+    /// An upper bound on the cycles from an instruction's issue to its
+    /// completion: the longest operation latency, plus the longest cache
+    /// access, plus the store-queue forwarding cycle.
+    pub(crate) fn longest_completion(&self) -> u64 {
+        let lat = &self.latencies;
+        let op = [lat.int_alu, lat.int_mul, lat.int_div, lat.addr_gen]
+            .into_iter()
+            .fold(0, u64::max);
+        let cache = match self.cache {
+            CacheModel::Ideal { latency } => latency,
+            CacheModel::Realistic { hit, miss, .. } => hit.max(miss),
+        };
+        op.saturating_add(cache).saturating_add(1)
+    }
 }
 
 impl Default for PipelineConfig {

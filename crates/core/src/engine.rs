@@ -16,7 +16,7 @@ use crate::sensitivity::Sensitivity;
 use crate::stats::Stats;
 use crate::wakeup::Wakeup;
 use ci_bpred::{
-    ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, Gshare, ReturnAddressStack,
+    ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, Gshare, RasTop, ReturnAddressStack,
     TfrTable,
 };
 use ci_emu::{DynInst, Memory};
@@ -68,7 +68,9 @@ pub(crate) struct Entry {
     pub pred_next: Pc,
     pub first_pred_next: Pc,
     pub ghr_before: GlobalHistory,
-    pub ras_after: Option<Vec<Pc>>,
+    /// Control instructions: the front end's return-address stack just
+    /// after this instruction was predicted.
+    pub ras_after: Option<RasTop>,
     pub fetched_at: u64,
     /// Index on the architecturally correct path, if this instruction is on
     /// it (the paper's parallel "fully-accurate window", A.3.1).
@@ -119,7 +121,7 @@ pub(crate) struct RedispatchState {
     pub cursor: Option<InstId>,
     pub map: MapTable,
     pub ghr: GlobalHistory,
-    pub ras: ReturnAddressStack,
+    pub ras: RasTop,
 }
 
 /// A detected misprediction awaiting service.
@@ -132,11 +134,11 @@ pub(crate) struct PendingRecovery {
     pub from_exec: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct FetchCtx {
     pub pc: Pc,
     pub ghr: GlobalHistory,
-    pub ras: ReturnAddressStack,
+    pub ras: RasTop,
     pub stalled: bool,
 }
 
@@ -186,6 +188,9 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) tfr_pc: TfrTable,
     pub(crate) tfr_xor: TfrTable,
     pub(crate) recon: ReconDetector,
+    /// The one return-address arena that the fetch, redispatch and
+    /// committed stacks and every entry's `ras_after` point into.
+    pub(crate) ras: ReturnAddressStack,
     // Sequencing.
     pub(crate) fetch: FetchCtx,
     /// Committed front-end state (PC/history/RAS as of the last retirement):
@@ -193,13 +198,13 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     /// path.
     pub(crate) commit_pc: Pc,
     pub(crate) commit_ghr: GlobalHistory,
-    pub(crate) commit_ras: ReturnAddressStack,
+    pub(crate) commit_ras: RasTop,
     pub(crate) seq: Sequencer,
     pub(crate) suspended: Vec<RestartState>,
     pub(crate) pending: Vec<PendingRecovery>,
     pub(crate) now: u64,
     pub(crate) stats: Stats,
-    /// Event-driven wakeup state (completion heap, waiter/consumer chains,
+    /// Event-driven wakeup state (completion wheel, waiter/consumer chains,
     /// ready set, membership sets, SoA status columns).
     pub(crate) wake: Wakeup,
     // Reusable scratch buffers, pooled so nested drains (a squash cascading
@@ -248,21 +253,22 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 config.recon,
                 Arc::clone(reference.recon_map()),
             ),
+            ras: ReturnAddressStack::bounded(64),
             fetch: FetchCtx {
                 pc: program.entry(),
                 ghr: GlobalHistory::new(),
-                ras: ReturnAddressStack::bounded(64),
+                ras: RasTop::EMPTY,
                 stalled: false,
             },
             commit_pc: program.entry(),
             commit_ghr: GlobalHistory::new(),
-            commit_ras: ReturnAddressStack::bounded(64),
+            commit_ras: RasTop::EMPTY,
             seq: Sequencer::Normal,
             suspended: Vec::new(),
             pending: Vec::new(),
             now: 0,
             stats: Stats::default(),
-            wake: Wakeup::default(),
+            wake: Wakeup::new(config.longest_completion()),
             scratch_ids: Vec::new(),
             scratch_keyed: Vec::new(),
             scratch_found: Vec::new(),
@@ -320,7 +326,9 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// drain).
     pub(crate) fn remove_entry(&mut self, id: InstId) -> Entry {
         self.wake.deregister_load(id);
-        if let Some((_, p)) = self.rob.get(id).dest {
+        let e = self.rob.get(id);
+        self.wake.store_left |= e.class == InstClass::Store;
+        if let Some((_, p)) = e.dest {
             self.wake.discard_chains(p.0);
         }
         self.wake.note_removed(id);
@@ -429,20 +437,25 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// statistics.
     ///
     /// # Panics
-    /// Panics if the simulation stops making forward progress or (with
-    /// `check` enabled) retires an instruction that disagrees with the
-    /// functional emulator — both indicate simulator bugs.
+    /// Panics if the simulation stops making forward progress (no
+    /// retirement for more cycles than [`Pipeline::watchdog_bound`]) or
+    /// (with `check` enabled) retires an instruction that disagrees with
+    /// the functional emulator — both indicate simulator bugs.
     pub fn run(&mut self) -> Stats {
         let target = self.oracle.len() as u64;
-        let cap = 600 * target + 100_000;
+        let bound = self.watchdog_bound();
+        let (mut retired, mut retired_at) = (self.stats.retired, self.now);
         self.prof.enter("cycle_loop");
         while self.stats.retired < target {
             self.cycle();
-            if self.now >= cap {
+            if self.stats.retired != retired {
+                (retired, retired_at) = (self.stats.retired, self.now);
+            } else if self.now - retired_at > bound {
                 self.prof.exit();
                 self.dump_deadlock();
                 panic!(
-                    "pipeline failed to make forward progress at cycle {}",
+                    "pipeline failed to make forward progress at cycle {}: \
+                     no retirement since cycle {retired_at} (watchdog bound {bound} cycles)",
                     self.now
                 );
             }
@@ -453,6 +466,19 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         self.stats.cache_hits = h;
         self.stats.cache_misses = m;
         self.stats.clone()
+    }
+
+    /// The most cycles [`Pipeline::run`] lets pass without a retirement
+    /// before it reports a wedged pipeline: every window entry may wait
+    /// out the longest completion and a cycle each side of it, plus a
+    /// margin for the front end. The longest gap seen in a legitimate run
+    /// is a full-window redispatch at two instructions per cycle.
+    #[must_use]
+    pub fn watchdog_bound(&self) -> u64 {
+        let per_entry = self.cfg.longest_completion().saturating_add(2);
+        (self.cfg.window as u64)
+            .saturating_mul(per_entry)
+            .saturating_add(1000)
     }
 
     /// Whether `id` is the recovering branch or insertion cursor of the
@@ -469,7 +495,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             .any(|rs| rs.cursor == id || rs.branch == id)
     }
 
-    /// Diagnostic dump used when the forward-progress cap trips.
+    /// Diagnostic dump used when the forward-progress watchdog trips.
     fn dump_deadlock(&self) {
         eprintln!(
             "=== deadlock at cycle {} retired {} ===",
@@ -548,16 +574,22 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         macro_rules! chk {
             ($stage:expr) => {};
         }
+        // Each stage is one span, and the larger stages split into
+        // sub-stage spans (`complete.drain`, `recovery.detect`, ...); `next`
+        // closes one span and opens the following one at one instant.
         self.prof.enter("complete");
         self.writeback();
-        self.prof.exit();
         chk!("writeback");
-        self.prof.enter("recovery");
+        self.prof.next("recovery");
+        self.prof.enter("recovery.detect");
         self.detect_mispredictions();
         chk!("detect");
+        self.prof.next("recovery.service");
         self.service_recoveries();
         chk!("service");
+        self.prof.next("recovery.redispatch");
         self.redispatch_step();
+        self.prof.exit();
         chk!("redispatch");
         // Suspended restarts are normally resumed by the preempting
         // recovery's completing redispatch — but a recovery that ends in a
@@ -571,12 +603,10 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         {
             self.resume_suspended();
         }
-        self.prof.exit();
-        self.prof.enter("retire");
+        self.prof.next("retire");
         self.retire_stage();
-        self.prof.exit();
         chk!("retire");
-        self.prof.enter("fetch");
+        self.prof.next("fetch");
         // If the window fully drained while fetch was stalled on a dead-end
         // wrong path, restart fetch from the committed state.
         if self.fetch.stalled
@@ -586,14 +616,13 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         {
             self.fetch.pc = self.commit_pc;
             self.fetch.ghr = self.commit_ghr;
-            self.fetch.ras = self.commit_ras.snapshot();
+            self.fetch.ras = self.commit_ras;
             self.map = self.committed_map.clone();
             self.fetch.stalled = false;
         }
         self.fetch_stage();
-        self.prof.exit();
         chk!("fetch");
-        self.prof.enter("issue");
+        self.prof.next("issue");
         self.issue_stage();
         self.prof.exit();
         chk!("issue");
@@ -756,8 +785,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         if e.class == InstClass::CondBranch {
             ghr.push(Some(redirect) == e.inst.static_target());
         }
-        let snap = e.ras_after.clone();
-        self.restore_ras(snap.as_ref());
+        self.restore_ras(e.ras_after);
         self.fetch.ghr = ghr;
         self.fetch.pc = redirect;
         self.fetch.stalled = false;
@@ -824,13 +852,13 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             }
             InstClass::Jump => inst.static_target().unwrap_or(fallthrough),
             InstClass::Call => {
-                self.fetch.ras.push(fallthrough);
+                self.ras.push(&mut self.fetch.ras, fallthrough);
                 inst.static_target().unwrap_or(fallthrough)
             }
-            InstClass::Return => self.fetch.ras.pop().unwrap_or(fallthrough),
+            InstClass::Return => self.ras.pop(&mut self.fetch.ras).unwrap_or(fallthrough),
             InstClass::IndirectJump => {
                 if inst.dest().is_some() {
-                    self.fetch.ras.push(fallthrough);
+                    self.ras.push(&mut self.fetch.ras, fallthrough);
                 }
                 self.predict(ghr_before, oracle_hist, |p, h| p.ctb.predict(pc, h))
                     .unwrap_or(fallthrough)
@@ -876,19 +904,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             map.set(r, p);
         }
 
-        let ras_after = class
-            .is_control()
-            .then(|| self.fetch.ras.snapshot())
-            .map(|s| {
-                // Store the raw stack contents.
-                let mut v = Vec::new();
-                let mut s = s;
-                while let Some(pc) = s.pop() {
-                    v.push(pc);
-                }
-                v.reverse();
-                v
-            });
+        let ras_after = class.is_control().then_some(self.fetch.ras);
 
         let entry = Entry {
             inst,
@@ -987,15 +1003,10 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         chosen
     }
 
-    /// Restore a RAS snapshot stored on an entry into the fetch context.
-    pub(crate) fn restore_ras(&mut self, snapshot: Option<&Vec<Pc>>) {
-        let mut ras = ReturnAddressStack::bounded(64);
-        if let Some(v) = snapshot {
-            for &pc in v {
-                ras.push(pc);
-            }
-        }
-        self.fetch.ras = ras;
+    /// Restore a RAS checkpoint stored on an entry into the fetch context
+    /// (an entry without one restores the empty stack).
+    pub(crate) fn restore_ras(&mut self, checkpoint: Option<RasTop>) {
+        self.fetch.ras = checkpoint.unwrap_or(RasTop::EMPTY);
     }
 
     /// Rebuild the rename map as it stood just after `upto` dispatched.

@@ -1,9 +1,10 @@
 //! Issue, execution, writeback and value-driven selective reissue.
 //!
 //! All three stages are event-driven: the issue stage picks from a ready
-//! set fed by the age queue and waiter chains, writeback pops a completion
-//! heap instead of scanning for finished executions, and the reissue
-//! cascades drain per-register consumer chains / per-address load lists.
+//! set fed by the age queue and waiter chains, writeback drains one bucket
+//! of a completion wheel instead of scanning for finished executions, and
+//! the reissue cascades drain per-register consumer chains / per-address
+//! load chains.
 //! Every drain snapshots its candidates, filters them with the exact
 //! predicate the old full-window walk used, sorts the survivors by window
 //! key, and re-checks liveness while processing — so the observable event
@@ -22,6 +23,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// Instructions remain in the window and may issue again after
     /// invalidation (selective reissue, Section 3.2.4).
     pub(crate) fn issue_stage(&mut self) {
+        self.prof.enter("issue.select");
         // Entries whose two-cycle age gate opens now become candidates.
         let mut due = self.take_ids();
         self.wake.take_due_young(self.now, &mut due);
@@ -51,12 +53,14 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         cands.sort_unstable();
         cands.dedup();
         cands.truncate(self.cfg.width);
+        self.prof.next("issue.execute");
         self.activity.cur_issued += cands.len() as u32;
         for &(_, id) in &cands {
             self.wake.clear_ready(id);
             self.execute(id);
         }
         self.put_keyed(cands);
+        self.prof.exit();
 
         // Compact the ready vector: entries that issued, died, or were
         // re-parked have lost their flag.
@@ -184,7 +188,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         // every source register (live producers only — a dead producer can
         // never complete, so the registration would never drain), and the
         // executed-load address index.
-        self.wake.schedule_completion(id, done_at);
+        self.wake.schedule_completion(id, done_at, self.now);
         for s in srcs.iter().flatten() {
             if self
                 .wake
@@ -206,9 +210,11 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// results, cascade invalidations to consumers that issued under stale
     /// versions, and run memory-ordering checks for stores.
     pub(crate) fn writeback(&mut self) {
-        // Compact the store membership set (squashed stores drop out); done
-        // here so disambiguation passes stay proportional to live stores.
-        {
+        self.prof.enter("complete.drain");
+        // Compact the store membership set once a store has left the
+        // window, so disambiguation passes stay proportional to live stores.
+        if self.wake.store_left {
+            self.wake.store_left = false;
             let rob = &self.rob;
             self.wake.stores.retain(|&s| rob.alive(s));
         }
@@ -216,6 +222,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         self.wake.take_due_completions(self.now, &mut due);
         if due.is_empty() {
             self.put_ids(due);
+            self.prof.exit();
             return;
         }
         // Snapshot-filter: events are candidates; an entry re-issued with a
@@ -238,6 +245,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         self.put_ids(due);
         cands.sort_unstable();
         cands.dedup();
+        self.prof.next("complete.wake");
         for &(_, id) in &cands {
             if !self.rob.alive(id)
                 || self.wake.status_of(id) != Status::Executing
@@ -262,6 +270,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             }
         }
         self.put_keyed(cands);
+        self.prof.exit();
     }
 
     /// Re-evaluate the issue wait of entries parked on a just-written

@@ -6,7 +6,7 @@ use crate::engine::{
     EState, FetchCtx, PendingRecovery, Pipeline, RedispatchState, RestartState, Sequencer,
 };
 use crate::rob::{InstId, SegCursor};
-use ci_bpred::TfrIndexing;
+use ci_bpred::{RasTop, TfrIndexing};
 use ci_isa::{InstClass, Pc};
 use ci_obs::{Event, Probe, Profiler, ReissueKind};
 
@@ -323,9 +323,8 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             } else {
                 ghr
             };
-            let snap = e.ras_after.clone();
-            if snap.is_some() {
-                self.restore_ras(snap.as_ref());
+            if e.ras_after.is_some() {
+                self.restore_ras(e.ras_after);
             }
             self.map = self.map_at(tail);
             self.fetch.stalled = false;
@@ -429,7 +428,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         let (ghr, ras_snap, class, taken_dir) = {
             let e = self.rob.get(b);
             let dir = e.inst.static_target() == Some(rec.redirect);
-            (e.ghr_before, e.ras_after.clone(), e.class, dir)
+            (e.ghr_before, e.ras_after, e.class, dir)
         };
         let mut ghr = ghr;
         if class == InstClass::CondBranch {
@@ -470,13 +469,9 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 self.fetch = FetchCtx {
                     pc: rec.redirect,
                     ghr,
-                    ras: ci_bpred::ReturnAddressStack::bounded(64),
+                    ras: ras_snap.unwrap_or(RasTop::EMPTY),
                     stalled: false,
                 };
-                self.restore_ras(ras_snap.as_ref());
-                self.fetch.ghr = ghr;
-                self.fetch.pc = rec.redirect;
-                self.fetch.stalled = false;
             }
             Some(r) => {
                 self.stats.reconverged += 1;
@@ -536,7 +531,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     started_at: self.now,
                     inserted: 0,
                 });
-                self.restore_ras(ras_snap.as_ref());
+                self.restore_ras(ras_snap);
                 self.fetch.ghr = ghr;
                 self.fetch.pc = rec.redirect;
                 self.fetch.stalled = false;
@@ -599,7 +594,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             cursor: Some(rs.recon),
             map: rs.map.clone(),
             ghr: self.fetch.ghr,
-            ras: self.fetch.ras.snapshot(),
+            ras: self.fetch.ras,
         });
     }
 
@@ -635,7 +630,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         };
         if rd.cursor.is_none() {
             // Sequence complete: resume tail fetch (or a suspended restart).
-            let (ghr, ras) = (rd.ghr, rd.ras.snapshot());
+            let (ghr, ras) = (rd.ghr, rd.ras);
             // The speculative rename map picks up from the walked window.
             self.map = rd.map.clone();
             self.seq = Sequencer::Normal;
@@ -680,8 +675,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 // resumes at the PC after the last inserted instruction.
                 let resume_pc = self.rob.get(rs.cursor).pred_next;
                 let ghr = self.rob.get(rs.cursor).ghr_before;
-                let ras_snap = self.rob.get(rs.cursor).ras_after.clone();
-                self.restore_ras(ras_snap.as_ref());
+                self.restore_ras(self.rob.get(rs.cursor).ras_after);
                 self.fetch.ghr = ghr;
                 self.fetch.pc = resume_pc;
                 self.fetch.stalled = false;
@@ -833,16 +827,16 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 unreachable!()
             };
             match class {
-                InstClass::Call => rd.ras.push(fallthrough),
+                InstClass::Call => self.ras.push(&mut rd.ras, fallthrough),
                 InstClass::Return => {
-                    let popped = rd.ras.pop();
+                    let popped = self.ras.pop(&mut rd.ras);
                     if pred_next == Some(fallthrough) {
                         pred_next = popped.or(Some(fallthrough));
                     }
                 }
                 InstClass::IndirectJump => {
                     if inst.dest().is_some() {
-                        rd.ras.push(fallthrough);
+                        self.ras.push(&mut rd.ras, fallthrough);
                     }
                     // Keep the currently intended target.
                     pred_next = Some(self.rob.get(id).pred_next);
@@ -850,18 +844,13 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 _ => {}
             }
         }
-        // Re-snapshot the RAS on control instructions.
+        // Re-checkpoint the RAS on control instructions.
         if class.is_control() {
             let Sequencer::Redispatch(rd) = &self.seq else {
                 unreachable!()
             };
-            let mut snap = rd.ras.snapshot();
-            let mut v = Vec::new();
-            while let Some(p) = snap.pop() {
-                v.push(p);
-            }
-            v.reverse();
-            self.rob.get_mut(id).ras_after = Some(v);
+            let ras = rd.ras;
+            self.rob.get_mut(id).ras_after = Some(ras);
         }
 
         if let Some(n) = pred_next {

@@ -96,12 +96,12 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             };
             match e.class {
                 InstClass::CondBranch => self.commit_ghr.push(e.taken),
-                InstClass::Call => self.commit_ras.push(e.pc.next()),
+                InstClass::Call => self.ras.push(&mut self.commit_ras, e.pc.next()),
                 InstClass::Return => {
-                    let _ = self.commit_ras.pop();
+                    let _ = self.ras.pop(&mut self.commit_ras);
                 }
                 InstClass::IndirectJump if e.dest.is_some() => {
-                    self.commit_ras.push(e.pc.next());
+                    self.ras.push(&mut self.commit_ras, e.pc.next());
                 }
                 _ => {}
             }

@@ -192,8 +192,14 @@ impl<T> Rob<T> {
     /// Panics if `id` is stale.
     #[must_use]
     pub fn get(&self, id: InstId) -> &T {
-        assert!(self.alive(id), "stale InstId");
-        self.nodes[id.idx as usize].data.as_ref().expect("alive")
+        match self.nodes.get(id.idx as usize) {
+            Some(Node {
+                generation,
+                data: Some(data),
+                ..
+            }) if *generation == id.generation => data,
+            _ => panic!("stale InstId"),
+        }
     }
 
     /// Mutable payload of `id`.
@@ -201,8 +207,14 @@ impl<T> Rob<T> {
     /// # Panics
     /// Panics if `id` is stale.
     pub fn get_mut(&mut self, id: InstId) -> &mut T {
-        assert!(self.alive(id), "stale InstId");
-        self.nodes[id.idx as usize].data.as_mut().expect("alive")
+        match self.nodes.get_mut(id.idx as usize) {
+            Some(Node {
+                generation,
+                data: Some(data),
+                ..
+            }) if *generation == id.generation => data,
+            _ => panic!("stale InstId"),
+        }
     }
 
     fn alloc_node(&mut self, data: T, key: u64, seg: u32) -> u32 {

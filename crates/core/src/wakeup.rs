@@ -13,8 +13,9 @@
 //!   filters touch packed arrays instead of chasing `Option<Entry>`
 //!   payloads. The engine routes every state change through
 //!   `Pipeline::set_state`, which keeps the columns and the entry in sync.
-//! - A **completion heap** of `(done_at, seq)` events pushed at issue time;
-//!   writeback pops due events instead of scanning for them.
+//! - A **completion wheel**: a ring of per-cycle buckets, sized from the
+//!   configuration's longest issue-to-completion distance, that issue
+//!   appends to and writeback drains one bucket of per cycle.
 //! - **Per-physical-register chains** (pooled singly-linked nodes): a
 //!   *waiter* chain of `Waiting` entries parked on a not-ready source, and a
 //!   *consumer* chain of entries that issued reading the register. Both are
@@ -24,8 +25,9 @@
 //!   stage a candidate list proportional to issueable work.
 //! - Window-membership sets for **stores** (memory disambiguation and the
 //!   `non_dspec` completion gate), **unsettled control** instructions
-//!   (misprediction detection), and a per-address map of **executed loads**
-//!   (store-violation and squashed-forwarding repair).
+//!   (misprediction detection), and per-address chains of **executed
+//!   loads** (store-violation and squashed-forwarding repair) in the same
+//!   node pool as the register chains.
 //!
 //! Everything here is *lazily invalidated*: chains and sets may hold stale
 //! generational ids (squashed or re-issued entries), and every drain
@@ -43,10 +45,13 @@
 use crate::engine::EState;
 use crate::rob::InstId;
 use ci_isa::Addr;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 const NONE: u32 = u32::MAX;
+
+/// Most completion-wheel buckets. A completion further out than the ring
+/// stays in its bucket for another revolution.
+const MAX_WHEEL: u64 = 1 << 12;
 
 /// Packed execution status, mirroring [`EState`] without the payload.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,29 +68,6 @@ pub(crate) enum Status {
     Done,
 }
 
-/// A scheduled completion. Min-ordered by `(done_at, seq)`; the sequence
-/// number only makes the heap order total and deterministic — writeback
-/// re-sorts due candidates by window key before processing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CompEvent {
-    done_at: u64,
-    seq: u64,
-    id: InstId,
-}
-
-impl Ord for CompEvent {
-    fn cmp(&self, other: &CompEvent) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        (other.done_at, other.seq).cmp(&(self.done_at, self.seq))
-    }
-}
-
-impl PartialOrd for CompEvent {
-    fn partial_cmp(&self, other: &CompEvent) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// One pooled chain node: `(entry, next)` with free-list reuse.
 #[derive(Clone, Copy, Debug)]
 struct ChainNode {
@@ -93,8 +75,28 @@ struct ChainNode {
     next: u32,
 }
 
+/// The wakeup state of one physical register.
+#[derive(Clone, Copy, Debug)]
+struct RegChains {
+    /// Head of the chain of entries waiting for the register.
+    waiters: u32,
+    /// Head of the chain of entries that issued reading it.
+    consumers: u32,
+    /// The window entry that writes the register (registers are allocated
+    /// fresh per dispatch, so the producer never changes).
+    producer: Option<InstId>,
+}
+
+impl RegChains {
+    const EMPTY: RegChains = RegChains {
+        waiters: NONE,
+        consumers: NONE,
+        producer: None,
+    };
+}
+
 /// The event-driven wakeup state. See the module docs for the protocol.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct Wakeup {
     // ---- struct-of-arrays columns, indexed by ROB slot ----
     status: Vec<Status>,
@@ -103,26 +105,52 @@ pub(crate) struct Wakeup {
     in_watch: Vec<bool>,
     reg_addr: Vec<Option<Addr>>,
     // ---- completion events ----
-    comp: BinaryHeap<CompEvent>,
-    comp_seq: u64,
+    /// `wheel[t & (len - 1)]` holds the `(cycle, entry)` completions due
+    /// at cycle `t`; the length is a power of two.
+    wheel: Vec<Vec<(u64, InstId)>>,
     // ---- per-physical-register chains ----
-    waiter_head: Vec<u32>,
-    consumer_head: Vec<u32>,
+    regs: Vec<RegChains>,
     nodes: Vec<ChainNode>,
     node_free: Vec<u32>,
-    /// The window entry that writes each physical register (registers are
-    /// allocated fresh per dispatch, so the producer never changes).
-    producer: Vec<Option<InstId>>,
     // ---- issue candidates ----
     young: VecDeque<(u64, InstId)>,
     pub(crate) ready: Vec<InstId>,
     // ---- window membership sets ----
     pub(crate) stores: Vec<InstId>,
+    /// A store left the window since `stores` was last compacted.
+    pub(crate) store_left: bool,
     pub(crate) ctrl: Vec<InstId>,
-    loads_by_addr: HashMap<Addr, Vec<InstId>>,
+    /// Head node of each address's chain of executed loads.
+    loads_by_addr: HashMap<Addr, u32>,
 }
 
 impl Wakeup {
+    /// Empty wakeup state whose completion wheel covers completions up to
+    /// `longest` cycles after issue without wrapping.
+    pub(crate) fn new(longest: u64) -> Wakeup {
+        let buckets = longest
+            .saturating_add(1)
+            .clamp(1, MAX_WHEEL)
+            .next_power_of_two();
+        Wakeup {
+            status: Vec::new(),
+            done_at: Vec::new(),
+            in_ready: Vec::new(),
+            in_watch: Vec::new(),
+            reg_addr: Vec::new(),
+            wheel: vec![Vec::new(); buckets as usize],
+            regs: Vec::new(),
+            nodes: Vec::new(),
+            node_free: Vec::new(),
+            young: VecDeque::new(),
+            ready: Vec::new(),
+            stores: Vec::new(),
+            store_left: false,
+            ctrl: Vec::new(),
+            loads_by_addr: HashMap::new(),
+        }
+    }
+
     /// Grow the slot columns to cover `slot`.
     fn ensure_slot(&mut self, slot: usize) {
         if slot >= self.status.len() {
@@ -135,13 +163,12 @@ impl Wakeup {
         }
     }
 
-    /// Grow the per-register chain heads to cover `reg`.
+    /// Grow the per-register state to cover `reg`. Registers are allocated
+    /// in order, so after the first dispatched destination this grows the
+    /// one vector by one entry.
     fn ensure_reg(&mut self, reg: usize) {
-        if reg >= self.waiter_head.len() {
-            let n = reg + 1;
-            self.waiter_head.resize(n, NONE);
-            self.consumer_head.resize(n, NONE);
-            self.producer.resize(n, None);
+        if reg >= self.regs.len() {
+            self.regs.resize(reg + 1, RegChains::EMPTY);
         }
     }
 
@@ -149,26 +176,27 @@ impl Wakeup {
     /// `reg`.
     pub(crate) fn set_producer(&mut self, reg: u32, id: InstId) {
         self.ensure_reg(reg as usize);
-        self.producer[reg as usize] = Some(id);
+        self.regs[reg as usize].producer = Some(id);
     }
 
     /// The window entry that writes `reg`, if one was ever dispatched (the
     /// caller checks liveness — a squashed producer means the register can
     /// never become ready).
     pub(crate) fn producer_of(&self, reg: u32) -> Option<InstId> {
-        self.producer.get(reg as usize).copied().flatten()
+        self.regs.get(reg as usize).and_then(|r| r.producer)
     }
 
     /// Recycle both chains of a register whose producer left the window:
     /// nothing can write it anymore, so the chains would never drain.
     pub(crate) fn discard_chains(&mut self, reg: u32) {
-        let r = reg as usize;
-        if r >= self.waiter_head.len() {
+        let Some(r) = self.regs.get_mut(reg as usize) else {
             return;
-        }
-        for heads in [&mut self.waiter_head, &mut self.consumer_head] {
-            let mut cur = heads[r];
-            heads[r] = NONE;
+        };
+        for head in [
+            std::mem::replace(&mut r.waiters, NONE),
+            std::mem::replace(&mut r.consumers, NONE),
+        ] {
+            let mut cur = head;
             while cur != NONE {
                 self.node_free.push(cur);
                 cur = self.nodes[cur as usize].next;
@@ -218,41 +246,42 @@ impl Wakeup {
         self.done_at.get(id.slot() as usize).copied().unwrap_or(0)
     }
 
-    // ------------------------------------------------------ completion heap
+    // ----------------------------------------------------- completion wheel
 
-    /// Schedule `id`'s completion at `done_at`.
-    pub(crate) fn schedule_completion(&mut self, id: InstId, done_at: u64) {
-        let seq = self.comp_seq;
-        self.comp_seq += 1;
-        self.comp.push(CompEvent { done_at, seq, id });
+    /// The wheel bucket of cycle `at`.
+    fn bucket(&self, at: u64) -> usize {
+        (at & (self.wheel.len() as u64 - 1)) as usize
     }
 
-    /// Pop every event due at or before `now` into `out`. Events are
-    /// *candidates*: stale ones (entry re-issued with a different `done_at`,
-    /// squashed, or already completed) must be filtered by the caller.
+    /// Schedule the completion of `id`, issued at cycle `now`, for
+    /// `done_at`. Writeback runs before issue within a cycle, so the
+    /// earliest writeback that can see it is `now + 1`, also for a
+    /// zero-latency operation.
+    pub(crate) fn schedule_completion(&mut self, id: InstId, done_at: u64, now: u64) {
+        let at = done_at.max(now + 1);
+        let b = self.bucket(at);
+        self.wheel[b].push((at, id));
+    }
+
+    /// Move every event due at `now` into `out`. Events are *candidates*:
+    /// stale ones (entry re-issued with a different `done_at`, squashed,
+    /// or already completed) must be filtered by the caller.
     pub(crate) fn take_due_completions(&mut self, now: u64, out: &mut Vec<InstId>) {
-        while let Some(ev) = self.comp.peek() {
-            if ev.done_at > now {
-                break;
+        let b = self.bucket(now);
+        self.wheel[b].retain(|&(at, id)| {
+            let due = at <= now;
+            if due {
+                out.push(id);
             }
-            out.push(self.comp.pop().expect("peeked").id);
-        }
+            !due
+        });
     }
 
     // ------------------------------------------------------------- chains
 
-    fn push_chain(
-        heads: &mut [u32],
-        nodes: &mut Vec<ChainNode>,
-        free: &mut Vec<u32>,
-        reg: usize,
-        id: InstId,
-    ) {
-        let node = ChainNode {
-            id,
-            next: heads[reg],
-        };
-        let idx = match free.pop() {
+    /// Take a node from the pool for `node`, returning its index.
+    fn alloc_node(nodes: &mut Vec<ChainNode>, free: &mut Vec<u32>, node: ChainNode) -> u32 {
+        match free.pop() {
             Some(i) => {
                 nodes[i as usize] = node;
                 i
@@ -261,19 +290,13 @@ impl Wakeup {
                 nodes.push(node);
                 (nodes.len() - 1) as u32
             }
-        };
-        heads[reg] = idx;
+        }
     }
 
-    fn drain_chain(
-        heads: &mut [u32],
-        nodes: &[ChainNode],
-        free: &mut Vec<u32>,
-        reg: usize,
-        out: &mut Vec<InstId>,
-    ) {
-        let mut cur = heads[reg];
-        heads[reg] = NONE;
+    /// Return the whole chain at `head` to the pool, copying its ids into
+    /// `out`.
+    fn drain_chain(nodes: &[ChainNode], free: &mut Vec<u32>, head: u32, out: &mut Vec<InstId>) {
+        let mut cur = head;
         while cur != NONE {
             let n = nodes[cur as usize];
             out.push(n.id);
@@ -286,12 +309,14 @@ impl Wakeup {
     /// register `reg`; it is re-evaluated when the register is written.
     pub(crate) fn park_waiter(&mut self, reg: u32, id: InstId) {
         self.ensure_reg(reg as usize);
-        Self::push_chain(
-            &mut self.waiter_head,
+        let r = &mut self.regs[reg as usize];
+        r.waiters = Self::alloc_node(
             &mut self.nodes,
             &mut self.node_free,
-            reg as usize,
-            id,
+            ChainNode {
+                id,
+                next: r.waiters,
+            },
         );
     }
 
@@ -299,40 +324,30 @@ impl Wakeup {
     /// producer completes after it).
     pub(crate) fn add_consumer(&mut self, reg: u32, id: InstId) {
         self.ensure_reg(reg as usize);
-        Self::push_chain(
-            &mut self.consumer_head,
+        let r = &mut self.regs[reg as usize];
+        r.consumers = Self::alloc_node(
             &mut self.nodes,
             &mut self.node_free,
-            reg as usize,
-            id,
+            ChainNode {
+                id,
+                next: r.consumers,
+            },
         );
     }
 
     /// Drain the waiter chain of a just-written register into `out`.
     pub(crate) fn drain_waiters(&mut self, reg: u32, out: &mut Vec<InstId>) {
-        let r = reg as usize;
-        if r < self.waiter_head.len() {
-            Self::drain_chain(
-                &mut self.waiter_head,
-                &self.nodes,
-                &mut self.node_free,
-                r,
-                out,
-            );
+        if let Some(r) = self.regs.get_mut(reg as usize) {
+            let head = std::mem::replace(&mut r.waiters, NONE);
+            Self::drain_chain(&self.nodes, &mut self.node_free, head, out);
         }
     }
 
     /// Drain the consumer chain of a just-written register into `out`.
     pub(crate) fn drain_consumers(&mut self, reg: u32, out: &mut Vec<InstId>) {
-        let r = reg as usize;
-        if r < self.consumer_head.len() {
-            Self::drain_chain(
-                &mut self.consumer_head,
-                &self.nodes,
-                &mut self.node_free,
-                r,
-                out,
-            );
+        if let Some(r) = self.regs.get_mut(reg as usize) {
+            let head = std::mem::replace(&mut r.consumers, NONE);
+            Self::drain_chain(&self.nodes, &mut self.node_free, head, out);
         }
     }
 
@@ -419,44 +434,70 @@ impl Wakeup {
     }
 
     /// (Re-)register an executed load under its effective address, moving it
-    /// out of the list for a previously registered address if necessary.
+    /// out of the chain of a previously registered address if necessary.
     pub(crate) fn register_load(&mut self, id: InstId, addr: Addr) {
         let slot = id.slot() as usize;
         self.ensure_slot(slot);
         match self.reg_addr[slot] {
             Some(a) if a == addr => return,
-            Some(old) => Self::remove_from_addr_list(&mut self.loads_by_addr, old, id),
+            Some(old) => self.unlink_load(old, id),
             None => {}
         }
         self.reg_addr[slot] = Some(addr);
-        self.loads_by_addr.entry(addr).or_default().push(id);
+        let head = self.loads_by_addr.entry(addr).or_insert(NONE);
+        *head = Self::alloc_node(
+            &mut self.nodes,
+            &mut self.node_free,
+            ChainNode { id, next: *head },
+        );
     }
 
-    /// Remove `id` from the address map (called when it leaves the window).
+    /// Remove `id` from the address chains (called when it leaves the
+    /// window).
     pub(crate) fn deregister_load(&mut self, id: InstId) {
         let slot = id.slot() as usize;
         if slot >= self.reg_addr.len() {
             return;
         }
         if let Some(addr) = self.reg_addr[slot].take() {
-            Self::remove_from_addr_list(&mut self.loads_by_addr, addr, id);
+            self.unlink_load(addr, id);
         }
     }
 
-    fn remove_from_addr_list(map: &mut HashMap<Addr, Vec<InstId>>, addr: Addr, id: InstId) {
-        if let Some(list) = map.get_mut(&addr) {
-            list.retain(|&x| x != id);
-            if list.is_empty() {
-                map.remove(&addr);
+    /// Unlink `id`'s node from the chain of `addr` (a load is registered
+    /// once per address), dropping the address once its chain is empty.
+    fn unlink_load(&mut self, addr: Addr, id: InstId) {
+        let Some(head) = self.loads_by_addr.get_mut(&addr) else {
+            return;
+        };
+        let (mut prev, mut cur) = (NONE, *head);
+        while cur != NONE {
+            let n = self.nodes[cur as usize];
+            if n.id == id {
+                if prev == NONE {
+                    *head = n.next;
+                } else {
+                    self.nodes[prev as usize].next = n.next;
+                }
+                self.node_free.push(cur);
+                break;
             }
+            (prev, cur) = (cur, n.next);
+        }
+        if *head == NONE {
+            self.loads_by_addr.remove(&addr);
         }
     }
 
-    /// Copy the executed loads registered at `addr` into `out` (candidates
-    /// for store-violation / squashed-forwarding repair; caller filters).
+    /// Copy the executed loads registered at `addr` into `out`, in no
+    /// particular order (candidates for store-violation /
+    /// squashed-forwarding repair; the caller filters and sorts).
     pub(crate) fn loads_at(&self, addr: Addr, out: &mut Vec<InstId>) {
-        if let Some(list) = self.loads_by_addr.get(&addr) {
-            out.extend_from_slice(list);
+        let mut cur = self.loads_by_addr.get(&addr).copied().unwrap_or(NONE);
+        while cur != NONE {
+            let n = self.nodes[cur as usize];
+            out.push(n.id);
+            cur = n.next;
         }
     }
 }
@@ -464,7 +505,9 @@ impl Wakeup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CacheModel, PipelineConfig};
     use crate::rob::Rob;
+    use ci_isa::LatencyModel;
 
     fn ids(n: usize) -> (Rob<u32>, Vec<InstId>) {
         let mut rob = Rob::new(1);
@@ -472,27 +515,130 @@ mod tests {
         (rob, ids)
     }
 
-    #[test]
-    fn completion_heap_pops_in_time_order() {
-        let (_rob, ids) = ids(3);
-        let mut w = Wakeup::default();
-        w.schedule_completion(ids[0], 9);
-        w.schedule_completion(ids[1], 4);
-        w.schedule_completion(ids[2], 9);
+    /// Drain the wheel cycle by cycle from `from` through `to`, returning
+    /// `(cycle, id)` for every event it hands out.
+    fn drain(w: &mut Wakeup, from: u64, to: u64) -> Vec<(u64, InstId)> {
+        let mut seen = Vec::new();
         let mut due = Vec::new();
-        w.take_due_completions(3, &mut due);
-        assert!(due.is_empty());
-        w.take_due_completions(4, &mut due);
-        assert_eq!(due, vec![ids[1]]);
+        for now in from..=to {
+            w.take_due_completions(now, &mut due);
+            seen.extend(due.drain(..).map(|id| (now, id)));
+        }
+        seen
+    }
+
+    /// The ring covers the configuration's longest completion: a divide
+    /// of a custom latency model plus a realistic cache's long miss plus
+    /// the forwarding cycle.
+    #[test]
+    fn wheel_is_sized_from_the_configuration() {
+        let cfg = PipelineConfig {
+            cache: CacheModel::Realistic {
+                words: 1024,
+                ways: 2,
+                line_words: 4,
+                hit: 3,
+                miss: 90,
+            },
+            latencies: LatencyModel {
+                int_alu: 1,
+                int_mul: 5,
+                int_div: 40,
+                addr_gen: 2,
+            },
+            ..PipelineConfig::ci(64)
+        };
+        assert_eq!(cfg.longest_completion(), 40 + 90 + 1);
+        let mut w = Wakeup::new(cfg.longest_completion());
+        assert_eq!(w.wheel.len(), 256, "the next power of two above 131");
+        let (_rob, ids) = ids(2);
+        // Issued at 1000 with the longest distance: lands exactly then.
+        w.schedule_completion(ids[0], 1000 + 131, 1000);
+        w.schedule_completion(ids[1], 1002, 1000);
+        assert_eq!(
+            drain(&mut w, 1001, 1200),
+            vec![(1002, ids[1]), (1131, ids[0])]
+        );
+        // An absurd latency clamps the ring and the event waits in its
+        // bucket for as many revolutions as it needs.
+        let mut huge = Wakeup::new(u64::MAX);
+        assert_eq!(huge.wheel.len() as u64, MAX_WHEEL);
+        huge.schedule_completion(ids[0], 3 * MAX_WHEEL + 7, 0);
+        assert_eq!(
+            drain(&mut huge, 1, 4 * MAX_WHEEL),
+            vec![(3 * MAX_WHEEL + 7, ids[0])]
+        );
+    }
+
+    /// Buckets are reused round after round: events scheduled across many
+    /// revolutions of a small ring each come out at their own cycle, in
+    /// scheduling order within a cycle.
+    #[test]
+    fn wheel_wraps_around() {
+        let (_rob, ids) = ids(3);
+        let mut w = Wakeup::new(3);
+        assert_eq!(w.wheel.len(), 4);
+        let mut seen = Vec::new();
+        for round in 0..10u64 {
+            let now = 4 * round;
+            w.schedule_completion(ids[0], now + 3, now);
+            w.schedule_completion(ids[1], now + 1, now);
+            w.schedule_completion(ids[2], now + 3, now);
+            seen.extend(drain(&mut w, now + 1, now + 4));
+        }
+        assert_eq!(seen.len(), 30);
+        for (k, chunk) in seen.chunks(3).enumerate() {
+            let now = 4 * k as u64;
+            assert_eq!(
+                chunk,
+                [(now + 1, ids[1]), (now + 3, ids[0]), (now + 3, ids[2])]
+            );
+        }
+        assert!(w.wheel.iter().all(Vec::is_empty));
+    }
+
+    /// A zero-latency operation issued at `now` completes at `now + 1`:
+    /// writeback of cycle `now` has already run.
+    #[test]
+    fn zero_latency_completes_next_cycle() {
+        let (_rob, ids) = ids(1);
+        let mut w = Wakeup::new(0);
+        assert_eq!(w.wheel.len(), 1);
+        w.schedule_completion(ids[0], 5, 5);
+        assert_eq!(drain(&mut w, 5, 5), vec![]);
+        assert_eq!(drain(&mut w, 6, 6), vec![(6, ids[0])]);
+    }
+
+    /// A reissue schedules a second event; the first still comes out at
+    /// its old cycle, and the caller's filter (status `Executing` with a
+    /// `done_at` not after now) is what drops it.
+    #[test]
+    fn stale_events_from_a_reissue_surface_for_the_filter() {
+        let (_rob, ids) = ids(1);
+        let id = ids[0];
+        let mut w = Wakeup::new(16);
+        w.note_state(id, EState::Executing { done_at: 12 });
+        w.schedule_completion(id, 12, 0);
+        // Invalidated and reissued at cycle 3 with a later completion.
+        w.note_state(id, EState::Waiting);
+        w.note_state(id, EState::Executing { done_at: 15 });
+        w.schedule_completion(id, 15, 3);
+        let fresh =
+            |w: &Wakeup, now: u64| w.status_of(id) == Status::Executing && w.done_at_of(id) <= now;
+        let mut due = Vec::new();
+        w.take_due_completions(12, &mut due);
+        assert_eq!(due, vec![id]);
+        assert!(!fresh(&w, 12), "the stale event fails the filter");
         due.clear();
-        w.take_due_completions(20, &mut due);
-        assert_eq!(due.len(), 2);
+        w.take_due_completions(15, &mut due);
+        assert_eq!(due, vec![id]);
+        assert!(fresh(&w, 15));
     }
 
     #[test]
     fn chains_drain_and_reuse_nodes() {
         let (_rob, ids) = ids(4);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.park_waiter(7, ids[0]);
         w.park_waiter(7, ids[1]);
         w.park_waiter(3, ids[2]);
@@ -515,7 +661,7 @@ mod tests {
     #[test]
     fn ready_flag_deduplicates() {
         let (_rob, ids) = ids(1);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.mark_ready(ids[0]);
         w.mark_ready(ids[0]);
         assert_eq!(w.ready.len(), 1);
@@ -526,23 +672,85 @@ mod tests {
         assert_eq!(w.ready.len(), 1);
     }
 
+    /// The executed loads at `addr`, sorted (chains keep no order).
+    fn loads(w: &Wakeup, addr: u64) -> Vec<InstId> {
+        let mut out = Vec::new();
+        w.loads_at(Addr(addr), &mut out);
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn load_registration_moves_between_addresses() {
-        let (_rob, ids) = ids(2);
-        let mut w = Wakeup::default();
-        w.register_load(ids[0], Addr(8));
-        w.register_load(ids[1], Addr(8));
-        w.register_load(ids[0], Addr(16));
-        let mut at8 = Vec::new();
-        w.loads_at(Addr(8), &mut at8);
-        assert_eq!(at8, vec![ids[1]]);
-        let mut at16 = Vec::new();
-        w.loads_at(Addr(16), &mut at16);
-        assert_eq!(at16, vec![ids[0]]);
-        w.deregister_load(ids[0]);
-        at16.clear();
-        w.loads_at(Addr(16), &mut at16);
-        assert!(at16.is_empty());
+        let (_rob, ids) = ids(4);
+        let mut w = Wakeup::new(16);
+        for &id in &ids {
+            w.register_load(id, Addr(8));
+        }
+        // Move the head, a middle node and the tail of the chain in turn.
+        w.register_load(ids[3], Addr(16));
+        w.register_load(ids[1], Addr(16));
+        w.register_load(ids[0], Addr(24));
+        assert_eq!(loads(&w, 8), vec![ids[2]]);
+        assert_eq!(loads(&w, 16), vec![ids[1], ids[3]]);
+        assert_eq!(loads(&w, 24), vec![ids[0]]);
+        // Re-registering at the same address is a no-op.
+        w.register_load(ids[1], Addr(16));
+        assert_eq!(loads(&w, 16), vec![ids[1], ids[3]]);
+        w.deregister_load(ids[3]);
+        assert_eq!(loads(&w, 16), vec![ids[1]]);
+        // Deregistering twice, or a load never registered, is harmless.
+        w.deregister_load(ids[3]);
+        w.deregister_load(ids[2]);
+        w.deregister_load(ids[2]);
+        assert!(loads(&w, 8).is_empty());
+        assert!(!w.loads_by_addr.contains_key(&Addr(8)), "empty chains go");
+        // Freed nodes are reused for later registrations.
+        let pool = w.nodes.len();
+        w.register_load(ids[2], Addr(32));
+        w.register_load(ids[3], Addr(32));
+        assert_eq!(w.nodes.len(), pool, "free list reused the nodes");
+        assert_eq!(loads(&w, 32), vec![ids[2], ids[3]]);
+        assert_eq!(loads(&w, 24), vec![ids[0]]);
+    }
+
+    /// Random registrations, moves and removals against a map of vectors
+    /// (the structure the chains replaced).
+    #[test]
+    fn load_chains_match_a_map_of_vectors() {
+        let (_rob, ids) = ids(24);
+        let mut w = Wakeup::new(16);
+        let mut model: HashMap<u64, Vec<InstId>> = HashMap::new();
+        let mut at: Vec<Option<u64>> = vec![None; ids.len()];
+        let mut rng = 0x10AD_u64;
+        for _ in 0..4000 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (rng >> 33) as usize % ids.len();
+            let addr = (rng >> 20) % 5;
+            let id = ids[k];
+            if (rng >> 40).is_multiple_of(4) {
+                w.deregister_load(id);
+                if let Some(a) = at[k].take() {
+                    model.get_mut(&a).unwrap().retain(|&x| x != id);
+                }
+            } else {
+                w.register_load(id, Addr(addr));
+                if at[k] != Some(addr) {
+                    if let Some(a) = at[k] {
+                        model.get_mut(&a).unwrap().retain(|&x| x != id);
+                    }
+                    model.entry(addr).or_default().push(id);
+                    at[k] = Some(addr);
+                }
+            }
+            for a in 0..5 {
+                let mut want = model.get(&a).cloned().unwrap_or_default();
+                want.sort_unstable();
+                assert_eq!(loads(&w, a), want, "address {a}");
+            }
+        }
     }
 
     // ---- rare interleavings the differential fuzzer exercised (PR 2) ----
@@ -553,7 +761,7 @@ mod tests {
     #[test]
     fn waiter_chain_across_a_squash() {
         let (mut rob, ids) = ids(3);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         for &id in &ids {
             w.note_state(id, EState::Waiting);
             w.park_waiter(2, id);
@@ -583,7 +791,7 @@ mod tests {
     #[test]
     fn producer_completes_while_consumers_squashed() {
         let (mut rob, ids) = ids(3);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.set_producer(9, ids[0]);
         w.note_state(ids[1], EState::Executing { done_at: 5 });
         w.note_state(ids[2], EState::Executing { done_at: 5 });
@@ -623,7 +831,7 @@ mod tests {
     #[test]
     fn redispatch_reenqueues_a_drained_waiter() {
         let (_rob, ids) = ids(1);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.note_state(ids[0], EState::Waiting);
         w.park_waiter(3, ids[0]);
         let mut out = Vec::new();
@@ -651,7 +859,7 @@ mod tests {
     fn soa_columns_track_entry_state() {
         let (mut rob, ids) = ids(1);
         let id = ids[0];
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.note_state(id, EState::Waiting);
         assert_eq!(w.status_of(id), Status::Waiting);
         w.note_state(id, EState::Executing { done_at: 17 });
@@ -676,7 +884,7 @@ mod tests {
     #[test]
     fn young_queue_respects_age_gate() {
         let (_rob, ids) = ids(2);
-        let mut w = Wakeup::default();
+        let mut w = Wakeup::new(16);
         w.push_young(5, ids[0]);
         w.push_young(6, ids[1]);
         let mut out = Vec::new();

@@ -271,14 +271,17 @@ impl Corpus {
             .collect();
         files.sort();
         for path in files {
-            let content = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            match CorpusEntry::parse(&content) {
+            let bytes =
+                std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+            let parsed = std::str::from_utf8(&bytes)
+                .map_err(|e| format!("not UTF-8: {e}"))
+                .and_then(CorpusEntry::parse);
+            match parsed {
                 Ok(entry) => {
                     corpus.add(entry);
                 }
                 Err(reason) => {
-                    let qpath = quarantine_cache_file(dir, &path, content.as_bytes(), &reason)
+                    let qpath = quarantine_cache_file(dir, &path, &bytes, &reason)
                         .map_err(|e| format!("quarantining {}: {e}", path.display()))?;
                     quarantined.push(qpath);
                 }
@@ -409,6 +412,35 @@ mod tests {
         let qbody = std::fs::read_to_string(&quarantined[0]).unwrap();
         assert!(qbody.starts_with('#'), "quarantine keeps a reason header");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file that is not UTF-8 is a corrupt entry like any other: it is
+    /// quarantined byte for byte, and the rest of the corpus loads.
+    #[test]
+    fn a_non_utf8_file_is_quarantined_with_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("ci-corpus-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = Corpus::new();
+        c.add(entry("seed-a", 10));
+        c.save(&dir).unwrap();
+        let bad = b"{\"name\":\"\xff\xfe\"}\n".to_vec();
+        std::fs::write(dir.join("bad.json"), &bad).unwrap();
+        let (loaded, quarantined) = Corpus::load(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded.entries()[0].name, "seed-a");
+        assert_eq!(quarantined.len(), 1);
+        assert!(
+            !dir.join("bad.json").exists(),
+            "corrupt file must be moved away"
+        );
+        let qbody = std::fs::read(&quarantined[0]).unwrap();
+        assert!(qbody.starts_with(b"# quarantined"));
+        assert!(
+            String::from_utf8_lossy(&qbody).contains("# reason: not UTF-8"),
+            "the reason names the encoding"
+        );
+        assert!(qbody.ends_with(&bad), "the original bytes are kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

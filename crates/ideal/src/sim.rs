@@ -155,6 +155,10 @@ struct Sim<'a, P: Probe> {
     probe: P,
     input: &'a StudyInput,
     cfg: &'a IdealConfig,
+    /// Most cycles without a retirement before the run is reported as
+    /// wedged: every window entry may wait out the longest latency and a
+    /// cycle each side of it, plus a margin for the front end.
+    watchdog: u64,
     /// Items in the window.
     occupancy: usize,
     /// Ids below `n` are correct-path indices; event `e`'s wrong-path
@@ -199,7 +203,7 @@ struct Sim<'a, P: Probe> {
 ///
 /// # Panics
 /// Panics if the simulation fails to make forward progress (an internal bug,
-/// guarded by a generous cycle cap).
+/// guarded by a no-retirement watchdog).
 #[must_use]
 pub fn simulate(input: &StudyInput, config: &IdealConfig) -> IdealResult {
     simulate_probed(input, config, NoopProbe).0
@@ -214,7 +218,7 @@ pub fn simulate(input: &StudyInput, config: &IdealConfig) -> IdealResult {
 ///
 /// # Panics
 /// Panics if the simulation fails to make forward progress (an internal
-/// bug, guarded by a generous cycle cap).
+/// bug, guarded by a no-retirement watchdog).
 pub fn simulate_probed<P: Probe>(
     input: &StudyInput,
     config: &IdealConfig,
@@ -231,7 +235,7 @@ pub fn simulate_probed<P: Probe>(
 ///
 /// # Panics
 /// Panics if the simulation fails to make forward progress (an internal
-/// bug, guarded by a generous cycle cap).
+/// bug, guarded by a no-retirement watchdog).
 pub fn simulate_profiled<P: Probe, F: ci_obs::Profiler>(
     input: &StudyInput,
     config: &IdealConfig,
@@ -264,6 +268,9 @@ pub fn simulate_profiled<P: Probe, F: ci_obs::Profiler>(
         probe,
         input,
         cfg: config,
+        watchdog: (config.window as u64)
+            .saturating_mul(longest.saturating_add(2))
+            .saturating_add(1000),
         occupancy: 0,
         n,
         wp_base,
@@ -311,10 +318,9 @@ pub fn simulate_profiled<P: Probe, F: ci_obs::Profiler>(
 impl<P: Probe> Sim<'_, P> {
     fn run(&mut self) {
         let n = u64::from(self.n);
-        let cap = 200 * n + 1_000_000;
+        let (mut retired, mut retired_at) = (self.retired, self.now);
         while self.retired < n {
             self.now += 1;
-            assert!(self.now < cap, "ideal model failed to make progress");
             self.resolve_events();
             self.retire();
             self.issue();
@@ -324,6 +330,16 @@ impl<P: Probe> Sim<'_, P> {
                 Event::CycleEnd {
                     occupancy: self.occupancy as u32,
                 },
+            );
+            if self.retired != retired {
+                (retired, retired_at) = (self.retired, self.now);
+            }
+            assert!(
+                self.now - retired_at <= self.watchdog,
+                "ideal model failed to make progress at cycle {}: no retirement since cycle \
+                 {retired_at} (watchdog bound {} cycles)",
+                self.now,
+                self.watchdog
             );
         }
     }

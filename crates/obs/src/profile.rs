@@ -42,6 +42,15 @@ pub trait Profiler {
     /// nothing.
     #[inline(always)]
     fn exit(&mut self) {}
+
+    /// Close the innermost open scope and open `name` in its place, as
+    /// consecutive scopes at one instant (the next stage of a loop). The
+    /// default implementation exits and enters.
+    #[inline(always)]
+    fn next(&mut self, name: &'static str) {
+        self.exit();
+        self.enter(name);
+    }
 }
 
 /// The default profiler: discards every scope at zero cost.
@@ -61,6 +70,11 @@ impl<F: Profiler> Profiler for &mut F {
     #[inline(always)]
     fn exit(&mut self) {
         (**self).exit();
+    }
+
+    #[inline(always)]
+    fn next(&mut self, name: &'static str) {
+        (**self).next(name);
     }
 }
 
@@ -263,9 +277,9 @@ impl Default for SpanProfiler {
     }
 }
 
-impl Profiler for SpanProfiler {
-    #[inline]
-    fn enter(&mut self, name: &'static str) {
+impl SpanProfiler {
+    /// Open `name` under the innermost open scope, started at `at`.
+    fn open(&mut self, name: &'static str, at: Instant) {
         let parent = self.stack.last().map_or(0, |&(idx, _)| idx);
         // Linear scan: stage trees are a handful of children wide, and the
         // pointer comparison catches the common static-str case first.
@@ -287,19 +301,39 @@ impl Profiler for SpanProfiler {
                 idx
             }
         };
-        self.stack.push((idx, Instant::now()));
+        self.stack.push((idx, at));
     }
 
-    #[inline]
-    fn exit(&mut self) {
+    /// Close the innermost open scope at `at`.
+    fn close(&mut self, at: Instant) {
         match self.stack.pop() {
             Some((idx, started)) => {
                 let n = &mut self.nodes[idx];
                 n.calls += 1;
-                n.total_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                n.total_ns += u64::try_from((at - started).as_nanos()).unwrap_or(u64::MAX);
             }
             None => self.unbalanced_exits += 1,
         }
+    }
+}
+
+impl Profiler for SpanProfiler {
+    #[inline]
+    fn enter(&mut self, name: &'static str) {
+        self.open(name, Instant::now());
+    }
+
+    #[inline]
+    fn exit(&mut self) {
+        self.close(Instant::now());
+    }
+
+    /// One clock read serves both the close and the open.
+    #[inline]
+    fn next(&mut self, name: &'static str) {
+        let now = Instant::now();
+        self.close(now);
+        self.open(name, now);
     }
 }
 
@@ -331,6 +365,29 @@ mod tests {
         Profiler::exit(&mut by_ref);
         assert_eq!(p.calls_of("a"), 1);
         assert!(p.is_balanced());
+    }
+
+    #[test]
+    fn next_replaces_the_innermost_scope_with_a_sibling() {
+        let mut p = SpanProfiler::new();
+        for _ in 0..3 {
+            p.enter("cycle");
+            p.enter("issue");
+            p.next("retire");
+            p.next("issue");
+            p.exit();
+            p.exit();
+        }
+        assert!(p.is_balanced());
+        assert_eq!(p.calls_of("issue"), 6);
+        assert_eq!(p.calls_of("retire"), 3);
+        assert_eq!(p.roots().len(), 1);
+        // Siblings under `cycle`, not nested in each other.
+        assert!(p.text_summary().contains("\n  retire"));
+        assert!(p.total_of("cycle") >= p.total_of("issue") + p.total_of("retire"));
+        // The default method exits and enters, so a no-op stays silent.
+        let mut q = NoopProfiler;
+        q.next("x");
     }
 
     #[test]
