@@ -324,7 +324,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// and the chains of the entry's own destination register are recycled
     /// (that register can never be written again, so they would never
     /// drain).
-    pub(crate) fn remove_entry(&mut self, id: InstId) -> Entry {
+    pub(crate) fn remove_entry(&mut self, id: InstId) {
         self.wake.deregister_load(id);
         let e = self.rob.get(id);
         self.wake.store_left |= e.class == InstClass::Store;
@@ -332,17 +332,16 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             self.wake.discard_chains(p.0);
         }
         self.wake.note_removed(id);
-        self.rob.remove(id)
+        self.rob.remove(id);
     }
 
     /// Decide how a `Waiting` entry waits for issue: young entries stay in
     /// the age queue, entries with a not-ready source park on that source's
     /// waiter chain, issueable entries join the ready set.
     pub(crate) fn classify_for_issue(&mut self, id: InstId) {
-        if !self.rob.alive(id) {
+        let Some(e) = self.rob.try_get(id) else {
             return;
-        }
-        let e = self.rob.get(id);
+        };
         if e.state != EState::Waiting {
             return;
         }

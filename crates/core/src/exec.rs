@@ -38,10 +38,12 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         let mut cands = self.take_keyed();
         for i in 0..self.wake.ready.len() {
             let id = self.wake.ready[i];
-            if !self.wake.is_ready_flagged(id) || !self.rob.alive(id) {
+            if !self.wake.is_ready_flagged(id) {
                 continue;
             }
-            let e = self.rob.get(id);
+            let Some(e) = self.rob.try_get(id) else {
+                continue;
+            };
             if e.state != EState::Waiting || self.now < e.fetched_at + 2 {
                 continue;
             }

@@ -19,34 +19,35 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
 
         // Collect the live, unsettled control instructions from the watch
         // list (pruning dead and settled ones — a settled entry re-enters
-        // only through `mark_unresolved`, which re-watches it) and order
-        // them by window position: the walk below then sees exactly the
-        // sequence the old full scan saw, because settled entries never
-        // influenced its in-order gate.
+        // only through `mark_unresolved`, which re-watches it) and find the
+        // oldest. The old full scan walked them in window order, but its
+        // in-order gate only asks whether a candidate is the oldest one
+        // (settled entries never influenced it), so the candidates stay
+        // unsorted; only the recoveries found are queued in window order.
         let mut cands = self.take_keyed();
+        let mut oldest = u64::MAX;
         let mut watch = std::mem::take(&mut self.wake.ctrl);
         watch.retain(|&id| {
             if !self.wake.is_watched(id) {
                 return false;
             }
-            if !self.rob.alive(id) {
-                // Dead id: its own flag was cleared at removal, so a set
-                // flag belongs to the slot's new tenant (watched in its own
-                // right) — drop the stale id without touching the flag.
+            // Dead id: its own flag was cleared at removal, so a set flag
+            // belongs to the slot's new tenant (watched in its own right) —
+            // drop the stale id without touching the flag.
+            let Some(e) = self.rob.try_get(id) else {
                 return false;
-            }
-            let e = self.rob.get(id);
+            };
             if e.state == EState::Done && e.resolved {
                 self.wake.unwatch_ctrl(id);
                 return false;
             }
-            cands.push((self.rob.key(id), id));
+            let key = self.rob.key(id);
+            oldest = oldest.min(key);
+            cands.push((key, id));
             true
         });
         self.wake.ctrl = watch;
-        cands.sort_unstable();
 
-        let mut older_unsettled = false;
         // The oldest unresolved store's key, computed on the first completed
         // candidate (nothing in this walk changes it).
         let mut oldest_store: Option<Option<u64>> = None;
@@ -55,8 +56,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
 
         for &(key, id) in &cands {
             let e = self.rob.get(id);
-            let behind_ctrl = older_unsettled;
-            older_unsettled = true;
+            let behind_ctrl = key != oldest;
             if e.state != EState::Done {
                 continue;
             }
@@ -117,6 +117,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             self.rob.get_mut(id).resolved = true;
         }
         self.put_ids(resolved_ok);
+        found.sort_unstable_by_key(|p| self.rob.key(p.branch));
         self.pending.append(&mut found);
         self.scratch_found = found;
         self.put_keyed(cands);

@@ -153,9 +153,7 @@ impl<T> Rob<T> {
     /// Whether `id` still names a live instruction.
     #[must_use]
     pub fn alive(&self, id: InstId) -> bool {
-        self.nodes
-            .get(id.idx as usize)
-            .is_some_and(|n| n.generation == id.generation && n.data.is_some())
+        self.try_get(id).is_some()
     }
 
     /// The instruction after `id` in logical order.
@@ -186,20 +184,26 @@ impl<T> Rob<T> {
         self.key(a) < self.key(b)
     }
 
+    /// Payload of `id`, or `None` if `id` is stale.
+    #[must_use]
+    pub fn try_get(&self, id: InstId) -> Option<&T> {
+        match self.nodes.get(id.idx as usize) {
+            Some(Node {
+                generation,
+                data: Some(data),
+                ..
+            }) if *generation == id.generation => Some(data),
+            _ => None,
+        }
+    }
+
     /// Payload of `id`.
     ///
     /// # Panics
     /// Panics if `id` is stale.
     #[must_use]
     pub fn get(&self, id: InstId) -> &T {
-        match self.nodes.get(id.idx as usize) {
-            Some(Node {
-                generation,
-                data: Some(data),
-                ..
-            }) if *generation == id.generation => data,
-            _ => panic!("stale InstId"),
-        }
+        self.try_get(id).expect("stale InstId")
     }
 
     /// Mutable payload of `id`.
@@ -315,11 +319,11 @@ impl<T> Rob<T> {
         self.id_of(idx)
     }
 
-    /// Remove `id`, returning its payload.
+    /// Remove `id`, dropping its payload in place.
     ///
     /// # Panics
     /// Panics if `id` is stale.
-    pub fn remove(&mut self, id: InstId) -> T {
+    pub fn remove(&mut self, id: InstId) {
         assert!(self.alive(id), "stale InstId");
         let idx = id.idx;
         let (prev, next, seg) = {
@@ -345,9 +349,8 @@ impl<T> Rob<T> {
         self.len -= 1;
         let n = &mut self.nodes[idx as usize];
         n.generation = n.generation.wrapping_add(1);
-        let data = n.data.take().expect("alive");
+        n.data = None;
         self.free.push(idx);
-        data
     }
 
     fn renumber(&mut self) {
@@ -471,7 +474,8 @@ mod tests {
         let a = rob.push_back(1);
         let b = rob.push_back(2);
         let c = rob.push_back(3);
-        assert_eq!(rob.remove(b), 2);
+        assert_eq!(*rob.get(b), 2);
+        rob.remove(b);
         assert!(!rob.alive(b));
         assert_eq!(collect(&rob), vec![1, 3]);
         assert_eq!(rob.next(a), Some(c));
@@ -608,7 +612,8 @@ mod tests {
             if !live.is_empty() && rng.is_multiple_of(3) {
                 let victim = (rng >> 16) as usize % live.len();
                 let (id, v) = live.swap_remove(victim);
-                assert_eq!(rob.remove(id), v);
+                assert_eq!(*rob.get(id), v);
+                rob.remove(id);
                 dead.push(id);
             } else {
                 let id = rob.push_back(next_val);

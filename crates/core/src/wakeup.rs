@@ -96,7 +96,7 @@ impl RegChains {
 }
 
 /// The event-driven wakeup state. See the module docs for the protocol.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Wakeup {
     // ---- struct-of-arrays columns, indexed by ROB slot ----
     status: Vec<Status>,
@@ -133,21 +133,8 @@ impl Wakeup {
             .clamp(1, MAX_WHEEL)
             .next_power_of_two();
         Wakeup {
-            status: Vec::new(),
-            done_at: Vec::new(),
-            in_ready: Vec::new(),
-            in_watch: Vec::new(),
-            reg_addr: Vec::new(),
             wheel: vec![Vec::new(); buckets as usize],
-            regs: Vec::new(),
-            nodes: Vec::new(),
-            node_free: Vec::new(),
-            young: VecDeque::new(),
-            ready: Vec::new(),
-            stores: Vec::new(),
-            store_left: false,
-            ctrl: Vec::new(),
-            loads_by_addr: HashMap::new(),
+            ..Wakeup::default()
         }
     }
 

@@ -55,7 +55,8 @@ fn rob_randomized_against_vec_model() {
             _ if !model.is_empty() => {
                 let pos = (rng() % model.len() as u64) as usize;
                 let (id, v) = model.remove(pos);
-                assert_eq!(rob.remove(id), v);
+                assert_eq!(*rob.get(id), v);
+                rob.remove(id);
             }
             _ => {}
         }
