@@ -126,7 +126,8 @@ pub(crate) struct Wakeup {
 
 impl Wakeup {
     /// Empty wakeup state whose completion wheel covers completions up to
-    /// `longest` cycles after issue without wrapping.
+    /// `longest` cycles after issue without wrapping (`Wakeup::default()`
+    /// has no wheel; only this constructor builds a usable state).
     pub(crate) fn new(longest: u64) -> Wakeup {
         let buckets = longest
             .saturating_add(1)
