@@ -559,37 +559,19 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// Advance one cycle.
     pub(crate) fn cycle(&mut self) {
         self.now += 1;
-        #[cfg(debug_assertions)]
-        let trace_stages = self.cfg.check && std::env::var_os("CI_CORE_INVARIANTS").is_some();
-        #[cfg(debug_assertions)]
-        macro_rules! chk {
-            ($stage:expr) => {
-                if trace_stages {
-                    self.check_window_invariants($stage);
-                }
-            };
-        }
-        #[cfg(not(debug_assertions))]
-        macro_rules! chk {
-            ($stage:expr) => {};
-        }
         // Each stage is one span, and the larger stages split into
         // sub-stage spans (`complete.drain`, `recovery.detect`, ...); `next`
         // closes one span and opens the following one at one instant.
         self.prof.enter("complete");
         self.writeback();
-        chk!("writeback");
         self.prof.next("recovery");
         self.prof.enter("recovery.detect");
         self.detect_mispredictions();
-        chk!("detect");
         self.prof.next("recovery.service");
         self.service_recoveries();
-        chk!("service");
         self.prof.next("recovery.redispatch");
         self.redispatch_step();
         self.prof.exit();
-        chk!("redispatch");
         // Suspended restarts are normally resumed by the preempting
         // recovery's completing redispatch — but a recovery that ends in a
         // complete squash (no reconvergent point in the window) never starts
@@ -604,7 +586,6 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         }
         self.prof.next("retire");
         self.retire_stage();
-        chk!("retire");
         self.prof.next("fetch");
         // If the window fully drained while fetch was stalled on a dead-end
         // wrong path, restart fetch from the committed state.
@@ -620,11 +601,9 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             self.fetch.stalled = false;
         }
         self.fetch_stage();
-        chk!("fetch");
         self.prof.next("issue");
         self.issue_stage();
         self.prof.exit();
-        chk!("issue");
         let recovery_busy = !matches!(self.seq, Sequencer::Normal) || !self.pending.is_empty();
         self.activity
             .end_cycle(self.rob.len() as u32, recovery_busy);
@@ -634,13 +613,17 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 occupancy: self.rob.len() as u32,
             },
         );
+        #[cfg(debug_assertions)]
+        if self.cfg.check {
+            self.check_window_invariants();
+        }
     }
 
     /// Debug invariant: every non-control instruction's successor must be
     /// its fall-through unless a restart's insertion point accounts for the
     /// discontinuity.
     #[cfg(debug_assertions)]
-    fn check_window_invariants(&self, stage: &str) {
+    fn check_window_invariants(&self) {
         for id in self.rob.iter() {
             let e = self.rob.get(id);
             if e.class.is_control() || e.class == InstClass::Halt {
@@ -659,8 +642,8 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             } || self.suspended.iter().any(|rs| rs.cursor == id);
             assert!(
                 covered,
-                "window hole after non-control {} at cycle {} stage {}: successor {}",
-                e.pc, self.now, stage, npc
+                "window hole after non-control {} at cycle {}: successor {}",
+                e.pc, self.now, npc
             );
         }
     }
@@ -703,41 +686,32 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                     return;
                 }
             }
+            // A restart whose fill path dead-ends (halt or out-of-program)
+            // can never reach its reconvergent point — usually a heuristic
+            // that picked a bogus point on the wrong path — so it is
+            // abandoned, and the machine drains as tail fetch.
             if self.fetch.stalled {
-                self.degenerate_stalled_restart();
+                self.abandon_restart();
                 return;
             }
             let Some(&inst) = self.program.fetch(self.fetch.pc) else {
                 // Wrong-path fetch left the program: stall until a recovery
                 // redirects the front end.
                 self.fetch.stalled = true;
-                self.degenerate_stalled_restart();
+                self.abandon_restart();
                 return;
             };
             // Window capacity. A restart may squash youngest-first to make
             // room (Section 3.2.2); normal fetch just stalls.
             while self.window_full() {
-                match &self.seq {
-                    Sequencer::Restart(_) => {
-                        if !self.evict_youngest_for_restart() {
-                            // Nothing evictable and retirement is blocked on
-                            // this very restart: fall back to a complete
-                            // squash (happens only with segment sizes near
-                            // the window size).
-                            self.force_full_squash_of_restart();
-                            return;
-                        }
-                        // Eviction may have degenerated the restart.
-                        if !matches!(self.seq, Sequencer::Restart(_)) && self.window_full() {
-                            return;
-                        }
-                    }
-                    _ => return,
+                if !matches!(self.seq, Sequencer::Restart(_)) {
+                    return;
                 }
+                self.evict_for_restart();
             }
             self.fetch_one(inst);
             if self.fetch.stalled {
-                self.degenerate_stalled_restart();
+                self.abandon_restart();
                 return;
             }
         }
@@ -748,75 +722,6 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     fn window_full(&mut self) -> bool {
         self.sens
             .note_capacity(self.rob.capacity_used(), self.cfg.window)
-    }
-
-    /// A restart whose fill path dead-ends (halt or out-of-program) can
-    /// never reach its reconvergent point — usually a heuristic that picked
-    /// a bogus point on the wrong path. Squash from the unreachable
-    /// reconvergent point and fall back to tail fetch so the machine drains.
-    fn degenerate_stalled_restart(&mut self) {
-        if let Sequencer::Restart(rs) = &self.seq {
-            let rs = rs.clone();
-            if self.rob.alive(rs.recon) {
-                self.squash_suffix_from(rs.recon);
-            }
-            self.map = rs.map;
-            self.seq = Sequencer::Normal;
-            self.unresolve(rs.branch);
-        }
-    }
-
-    /// Abandon the active restart entirely: squash everything younger than
-    /// its branch and restart fetch from the branch's corrected path — the
-    /// behaviour of a complete squash. Used when a restart cannot obtain
-    /// window space by evicting (pathological segment/window ratios).
-    fn force_full_squash_of_restart(&mut self) {
-        let Sequencer::Restart(rs) = std::mem::replace(&mut self.seq, Sequencer::Normal) else {
-            return;
-        };
-        if let Some(n) = self.rob.next(rs.branch) {
-            self.squash_suffix_from(n);
-        }
-        self.map = self.map_at(rs.branch);
-        let e = self.rob.get(rs.branch);
-        let redirect = e.pred_next;
-        let mut ghr = e.ghr_before;
-        if e.class == InstClass::CondBranch {
-            ghr.push(Some(redirect) == e.inst.static_target());
-        }
-        self.restore_ras(e.ras_after);
-        self.fetch.ghr = ghr;
-        self.fetch.pc = redirect;
-        self.fetch.stalled = false;
-    }
-
-    /// Squash the youngest instruction to make room for a restart insert.
-    /// Returns false if the restart degenerated (reconvergent point evicted).
-    fn evict_youngest_for_restart(&mut self) -> bool {
-        let Some(tail) = self.rob.tail() else {
-            return false;
-        };
-        let Sequencer::Restart(rs) = &self.seq else {
-            return false;
-        };
-        if tail == rs.cursor || tail == rs.branch {
-            // Nothing evictable: the window is all older instructions.
-            return false;
-        }
-        let degenerate = tail == rs.recon;
-        self.stats.ci_evicted += 1;
-        self.squash_one(tail);
-        if degenerate {
-            // All control-independent work is gone; the restart becomes
-            // plain tail fetch from the current restart PC, continuing with
-            // the restart's rename map.
-            let Sequencer::Restart(rs) = std::mem::replace(&mut self.seq, Sequencer::Normal) else {
-                unreachable!()
-            };
-            self.map = rs.map.clone();
-            self.unresolve(rs.branch);
-        }
-        true
     }
 
     /// Fetch, predict, rename and dispatch one instruction at the current
@@ -1000,12 +905,6 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             self.sens.note_history();
         }
         chosen
-    }
-
-    /// Restore a RAS checkpoint stored on an entry into the fetch context
-    /// (an entry without one restores the empty stack).
-    pub(crate) fn restore_ras(&mut self, checkpoint: Option<RasTop>) {
-        self.fetch.ras = checkpoint.unwrap_or(RasTop::EMPTY);
     }
 
     /// Rebuild the rename map as it stood just after `upto` dispatched.

@@ -315,25 +315,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             victims.push((k, id));
         }
         self.put_ids(drained);
-        victims.sort_unstable();
-        victims.dedup();
-        for &(_, v) in &victims {
-            // Invalidating one victim can cascade (cancelled restarts squash
-            // instructions), killing later victims before their turn.
-            if !self.rob.alive(v) {
-                continue;
-            }
-            let pc = self.rob.get(v).pc;
-            self.probe.record(
-                self.now,
-                Event::Reissue {
-                    pc: pc.0,
-                    kind: ReissueKind::Value,
-                },
-            );
-            self.invalidate(v);
-        }
-        self.put_keyed(victims);
+        self.reissue(victims, ReissueKind::Value);
     }
 
     /// Invalidate an issued/completed instruction so it reissues.
@@ -410,27 +392,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             }
         }
         self.put_ids(cand);
-        victims.sort_unstable();
-        victims.dedup();
-        for &(_, v) in &victims {
-            if !self.rob.alive(v) {
-                continue;
-            }
-            let pc = {
-                let e = self.rob.get_mut(v);
-                e.mem_reissues += 1;
-                e.pc
-            };
-            self.probe.record(
-                self.now,
-                Event::Reissue {
-                    pc: pc.0,
-                    kind: ReissueKind::Memory,
-                },
-            );
-            self.invalidate(v);
-        }
-        self.put_keyed(victims);
+        self.reissue(victims, ReissueKind::Memory);
     }
 
     /// Loads that forwarded from a store being squashed must reissue. Any
@@ -458,26 +420,6 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             victims.push((self.rob.key(id), id));
         }
         self.put_ids(cand);
-        victims.sort_unstable();
-        victims.dedup();
-        for &(_, v) in &victims {
-            if !self.rob.alive(v) {
-                continue;
-            }
-            let pc = {
-                let e = self.rob.get_mut(v);
-                e.mem_reissues += 1;
-                e.pc
-            };
-            self.probe.record(
-                self.now,
-                Event::Reissue {
-                    pc: pc.0,
-                    kind: ReissueKind::Memory,
-                },
-            );
-            self.invalidate(v);
-        }
-        self.put_keyed(victims);
+        self.reissue(victims, ReissueKind::Memory);
     }
 }

@@ -1,14 +1,28 @@
 //! Misprediction detection, recovery sequences (selective or full squash),
-//! restart management with preemption, and redispatch.
+//! restart management with preemption, redispatch and selective reissue.
+//!
+//! Each recovery rule is written once: `end_restart` ends a restart without
+//! redispatch, `reseed_fetch` points the front end after a window entry,
+//! and `reissue` sends victims back to issue.
 
 use crate::config::{Preemption, RedispatchMode, RepredictMode, SquashMode};
-use crate::engine::{
-    EState, FetchCtx, PendingRecovery, Pipeline, RedispatchState, RestartState, Sequencer,
-};
+use crate::engine::{EState, PendingRecovery, Pipeline, RedispatchState, RestartState, Sequencer};
+use crate::regfile::MapTable;
 use crate::rob::{InstId, SegCursor};
 use ci_bpred::{RasTop, TfrIndexing};
 use ci_isa::{InstClass, Pc};
 use ci_obs::{Event, Probe, Profiler, ReissueKind};
+
+/// Where [`Pipeline::end_restart`] starts squashing.
+#[derive(Clone, Copy)]
+enum Cut {
+    /// Squash nothing.
+    Keep,
+    /// The reconvergent point and everything younger: the fill stays.
+    Recon,
+    /// Everything younger than the branch, the fill included.
+    AfterBranch,
+}
 
 impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// Scan for control instructions whose execution disagrees with the path
@@ -171,34 +185,19 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                         // prefix of the fill. The old restart's unfilled gap
                         // would otherwise survive as an unfillable hole, so
                         // its reconvergent suffix is squashed first.
-                        let recon = rs.recon;
-                        let old_branch = rs.branch;
-                        if self.rob.alive(recon) {
-                            self.squash_suffix_from(recon);
-                        }
-                        self.seq = Sequencer::Normal;
-                        self.unresolve(old_branch);
-                        self.pending.swap_remove(slot);
-                        self.do_recover(rec);
-                        return;
-                    }
-                    // Preemption by a logically earlier misprediction.
-                    self.stats.preemptions += 1;
-                    self.sens.note_preemption();
-                    let rs = rs.clone();
-                    match self.cfg.preemption {
-                        Preemption::Optimal => {
-                            self.suspended.push(rs);
-                            self.seq = Sequencer::Normal;
-                        }
-                        Preemption::Simple => {
-                            // Squash from the old reconvergent point so no
-                            // half-filled gap survives, then abandon it.
-                            if self.rob.alive(rs.recon) {
-                                self.squash_suffix_from(rs.recon);
+                        self.abandon_restart();
+                    } else {
+                        // Preemption by a logically earlier misprediction.
+                        self.stats.preemptions += 1;
+                        self.sens.note_preemption();
+                        match self.cfg.preemption {
+                            Preemption::Optimal => {
+                                let rs = self.take_restart().expect("restart is active");
+                                self.suspended.push(rs);
                             }
-                            self.seq = Sequencer::Normal;
-                            self.unresolve(rs.branch);
+                            // Squash from the old reconvergent point so no
+                            // half-filled gap survives.
+                            Preemption::Simple => self.abandon_restart(),
                         }
                     }
                 }
@@ -248,64 +247,99 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         }
     }
 
-    /// Cancel any active or suspended restart whose recovering branch is
-    /// `id` (called when `id` is invalidated for reissue): squash the fill
-    /// inserted so far and return the sequencer to tail fetch.
-    pub(crate) fn cancel_restarts_of(&mut self, id: InstId) {
-        let active = matches!(&self.seq, Sequencer::Restart(rs) if rs.branch == id);
-        if active {
-            let Sequencer::Restart(rs) = std::mem::replace(&mut self.seq, Sequencer::Normal) else {
-                unreachable!()
-            };
-            // Squash the whole suffix, not just the fill: survivors beyond
-            // the reconvergent point may hold sources squashed when this
-            // restart began (or by an earlier walk this restart superseded),
-            // and their repair walk dies with the restart. Re-detection
-            // cannot be relied on to rebuild it — the re-executed branch can
-            // resolve *consistent* with the post-squash window (its target
-            // is the reconvergent point), leaving the stale sources parked
-            // on never-ready registers and wedging retirement.
-            if let Some(n) = self.rob.next(rs.branch) {
-                self.squash_suffix_from(n);
+    /// Take the active restart off the sequencer, leaving it idle.
+    fn take_restart(&mut self) -> Option<RestartState> {
+        match std::mem::replace(&mut self.seq, Sequencer::Normal) {
+            Sequencer::Restart(rs) => Some(rs),
+            other => {
+                self.seq = other;
+                None
             }
-            self.unresolve(rs.branch);
+        }
+    }
+
+    /// End restart `rs`, already off the sequencer, without redispatch:
+    /// squash from `cut`, then have misprediction detection re-examine its
+    /// branch and cursor, whose successors may have changed. Every way a
+    /// restart ends other than redispatch goes through here.
+    fn end_restart(&mut self, rs: &RestartState, cut: Cut) {
+        let from = match cut {
+            Cut::Recon => Some(rs.recon),
+            Cut::AfterBranch if self.rob.alive(rs.branch) => self.rob.next(rs.branch),
+            Cut::AfterBranch | Cut::Keep => None,
+        };
+        if let Some(id) = from.filter(|&id| self.rob.alive(id)) {
+            self.squash_suffix_from(id);
+        }
+        self.unresolve(rs.branch);
+        self.unresolve(rs.cursor);
+    }
+
+    /// Abandon the active restart, keeping its fill: squash its
+    /// reconvergent region and continue as tail fetch from its cursor, with
+    /// its rename map. A no-op unless a restart is active.
+    pub(crate) fn abandon_restart(&mut self) {
+        if let Some(rs) = self.take_restart() {
+            self.end_restart(&rs, Cut::Recon);
+            self.map = rs.map;
+        }
+    }
+
+    /// Squash the youngest instruction to make room for a restart insert
+    /// (Section 3.2.2). Evicting the reconvergent point itself leaves
+    /// nothing control-independent to redispatch, so the restart is
+    /// abandoned.
+    pub(crate) fn evict_for_restart(&mut self) {
+        let Sequencer::Restart(rs) = &self.seq else {
+            unreachable!("eviction without an active restart")
+        };
+        // While a restart is active its reconvergent entry is alive and
+        // follows its cursor, so a full window always has an evictable tail.
+        assert!(
+            self.rob.alive(rs.recon),
+            "cycle {}: the active restart lost its reconvergent entry",
+            self.now
+        );
+        let tail = self.rob.tail().expect("a full window has a tail");
+        self.stats.ci_evicted += 1;
+        if tail == rs.recon {
+            self.abandon_restart();
+        } else {
+            self.squash_one(tail);
+        }
+    }
+
+    /// Cancel any active or suspended restart whose recovering branch is
+    /// `id` (called when `id` is invalidated for reissue).
+    pub(crate) fn cancel_restarts_of(&mut self, id: InstId) {
+        // Squash the whole suffix, not just the fill: survivors beyond the
+        // reconvergent point may hold sources squashed when the restart
+        // began (or by an earlier walk it superseded), and their repair walk
+        // dies with the restart. Re-detection cannot be relied on to
+        // rebuild it — the re-executed branch can resolve *consistent* with
+        // the post-squash window (its target is the reconvergent point),
+        // leaving the stale sources parked on never-ready registers and
+        // wedging retirement.
+        if matches!(&self.seq, Sequencer::Restart(rs) if rs.branch == id) {
+            let rs = self.take_restart().expect("restart is active");
+            self.end_restart(&rs, Cut::AfterBranch);
             self.resume_tail_fetch();
         }
-        let stale: Vec<RestartState> = {
-            let mut out = Vec::new();
-            self.suspended.retain_mut(|rs| {
-                if rs.branch == id {
-                    out.push(rs.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            out
-        };
-        for rs in stale {
-            // Same suffix rule as the active-restart case above: the
-            // suspension's survivors lose their pending repair walk when the
-            // restart dies, so they cannot be left in the window.
-            if self.rob.alive(rs.branch) {
-                if let Some(n) = self.rob.next(rs.branch) {
-                    self.squash_suffix_from(n);
-                }
-            }
-            self.unresolve(rs.branch);
+        while let Some(i) = self.suspended.iter().position(|rs| rs.branch == id) {
+            let rs = self.suspended.remove(i);
+            self.end_restart(&rs, Cut::AfterBranch);
         }
         // A stale suspension's interval may have contained the active
-        // restart's branch or fill. A restart whose insertion context died
-        // cannot continue: drop its never-to-be-redispatched reconvergent
-        // region and fall back to tail fetch.
+        // restart's branch or fill: a recovery serviced while the sequencer
+        // was not restarting can begin a restart younger than a suspended
+        // one (`crates/core/tests/suspended_cancel.rs`). A restart whose
+        // insertion context died cannot continue: drop its
+        // never-to-be-redispatched reconvergent region and fall back to tail
+        // fetch.
         if let Sequencer::Restart(rs) = &self.seq {
             if !self.rob.alive(rs.branch) || !self.rob.alive(rs.cursor) {
-                let rs = rs.clone();
-                self.seq = Sequencer::Normal;
-                if self.rob.alive(rs.recon) {
-                    self.squash_suffix_from(rs.recon);
-                }
-                self.unresolve(rs.branch);
+                let rs = self.take_restart().expect("restart is active");
+                self.end_restart(&rs, Cut::Recon);
                 self.resume_tail_fetch();
             }
         }
@@ -314,22 +348,27 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// Return the sequencer to tail fetch continuing after the current tail.
     pub(crate) fn resume_tail_fetch(&mut self) {
         if let Some(tail) = self.rob.tail() {
-            let e = self.rob.get(tail);
-            self.fetch.pc = e.pred_next;
-            let ghr = e.ghr_before;
-            // Rebuild history: a conditional branch's own outcome bit follows
-            // its stored pre-prediction history.
-            self.fetch.ghr = if e.class == ci_isa::InstClass::CondBranch {
-                ghr.pushed(e.pred_next == e.inst.static_target().unwrap_or(e.pc.next()))
-            } else {
-                ghr
-            };
-            if e.ras_after.is_some() {
-                self.restore_ras(e.ras_after);
-            }
-            self.map = self.map_at(tail);
-            self.fetch.stalled = false;
+            self.map = self.reseed_fetch(tail);
         }
+    }
+
+    /// Point the front end just after window entry `id` on its intended
+    /// path: fetch PC, global history (a conditional branch's own direction
+    /// bit follows its stored pre-prediction history) and return-address
+    /// stack. Returns the rename map as it stood after `id` dispatched.
+    fn reseed_fetch(&mut self, id: InstId) -> MapTable {
+        let e = self.rob.get(id);
+        let mut ghr = e.ghr_before;
+        if e.class == InstClass::CondBranch {
+            ghr.push(e.inst.static_target() == Some(e.pred_next));
+        }
+        if let Some(ras) = e.ras_after {
+            self.fetch.ras = ras;
+        }
+        self.fetch.pc = e.pred_next;
+        self.fetch.ghr = ghr;
+        self.fetch.stalled = false;
+        self.map_at(id)
     }
 
     /// Remove `id` and everything younger (a window-link walk from `id`).
@@ -425,17 +464,6 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         self.stats.recoveries += 1;
         self.classify_recovery(&rec);
 
-        // Seed front-end state from just after the branch.
-        let (ghr, ras_snap, class, taken_dir) = {
-            let e = self.rob.get(b);
-            let dir = e.inst.static_target() == Some(rec.redirect);
-            (e.ghr_before, e.ras_after, e.class, dir)
-        };
-        let mut ghr = ghr;
-        if class == InstClass::CondBranch {
-            ghr.push(taken_dir);
-        }
-
         let recon_entry = self.recovery_point(b);
 
         self.rob.get_mut(b).pred_next = rec.redirect;
@@ -465,14 +493,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 if let Some(n) = self.rob.next(b) {
                     self.squash_suffix_from(n);
                 }
-                self.map = self.map_at(b);
-                self.seq = Sequencer::Normal;
-                self.fetch = FetchCtx {
-                    pc: rec.redirect,
-                    ghr,
-                    ras: ras_snap.unwrap_or(RasTop::EMPTY),
-                    stalled: false,
-                };
+                self.map = self.reseed_fetch(b);
             }
             Some(r) => {
                 self.stats.reconverged += 1;
@@ -520,7 +541,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     cur = self.rob.next(id);
                 }
                 // Restart sequence.
-                let map = self.map_at(b);
+                let map = self.reseed_fetch(b);
                 let recon_pc = self.rob.get(r).pc;
                 self.seq = Sequencer::Restart(RestartState {
                     branch: b,
@@ -532,10 +553,6 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     started_at: self.now,
                     inserted: 0,
                 });
-                self.restore_ras(ras_snap);
-                self.fetch.ghr = ghr;
-                self.fetch.pc = rec.redirect;
-                self.fetch.stalled = false;
             }
         }
     }
@@ -658,27 +675,27 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             // re-fetch the same instructions after the cursor and duplicate
             // them. The takeover's fill is the valid path, so drop the
             // suspension without squashing anything.
-            if self.rob.alive(rs.branch)
-                && self.rob.alive(rs.cursor)
-                && self.rob.alive(rs.recon)
-                && self.rob.next(rs.cursor) != Some(rs.recon)
-            {
-                self.unresolve(rs.branch);
-                self.mark_unresolved(rs.cursor);
+            let intact =
+                self.rob.alive(rs.branch) && self.rob.alive(rs.cursor) && self.rob.alive(rs.recon);
+            if intact && self.rob.next(rs.cursor) != Some(rs.recon) {
+                self.end_restart(&rs, Cut::Keep);
                 continue;
             }
-            if self.rob.alive(rs.branch) && self.rob.alive(rs.cursor) && self.rob.alive(rs.recon) {
+            if intact {
                 // The preempting recovery's redispatch may have remapped the
                 // window; rebuild the fill map from current state rather than
                 // trusting the one captured at suspension.
                 rs.map = self.map_at(rs.cursor);
                 // Re-seed the fetch context from the suspension point: fetch
-                // resumes at the PC after the last inserted instruction.
-                let resume_pc = self.rob.get(rs.cursor).pred_next;
-                let ghr = self.rob.get(rs.cursor).ghr_before;
-                self.restore_ras(self.rob.get(rs.cursor).ras_after);
-                self.fetch.ghr = ghr;
-                self.fetch.pc = resume_pc;
+                // resumes at the PC after the last inserted instruction. This
+                // is not `reseed_fetch`: the history leaves out a
+                // conditional-branch cursor's own direction bit (a known
+                // deviation, see the FOUND line on `resume_suspended` in
+                // CHANGES.md).
+                let e = self.rob.get(rs.cursor);
+                self.fetch.pc = e.pred_next;
+                self.fetch.ghr = e.ghr_before;
+                self.fetch.ras = e.ras_after.unwrap_or(RasTop::EMPTY);
                 self.fetch.stalled = false;
                 self.seq = Sequencer::Restart(rs);
                 return;
@@ -694,27 +711,18 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             // reach the region, the hole is unrepairable (misprediction
             // detection never fires on a non-control boundary), so the stale
             // suffix has to go before it wedges retirement forever.
+            let mut stale = false;
             if self.rob.alive(rs.recon) {
-                let stale = match self.rob.prev(rs.recon) {
-                    Some(p) => {
-                        let pe = self.rob.get(p);
-                        if pe.class.is_control() {
-                            self.mark_unresolved(p);
-                            false
-                        } else {
-                            pe.pc.next() != self.rob.get(rs.recon).pc
-                        }
+                if let Some(p) = self.rob.prev(rs.recon) {
+                    let pe = self.rob.get(p);
+                    if pe.class.is_control() {
+                        self.mark_unresolved(p);
+                    } else {
+                        stale = pe.pc.next() != self.rob.get(rs.recon).pc;
                     }
-                    None => false,
-                };
-                if stale {
-                    self.squash_suffix_from(rs.recon);
                 }
             }
-            self.unresolve(rs.branch);
-            if self.rob.alive(rs.cursor) {
-                self.mark_unresolved(rs.cursor);
-            }
+            self.end_restart(&rs, if stale { Cut::Recon } else { Cut::Keep });
             self.resume_tail_fetch();
         }
     }
@@ -746,15 +754,9 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         if renamed {
             self.stats.ci_renamed += 1;
             if state != EState::Waiting {
-                self.rob.get_mut(id).reg_reissues += 1;
-                self.probe.record(
-                    self.now,
-                    Event::Reissue {
-                        pc: pc.0,
-                        kind: ReissueKind::Register,
-                    },
-                );
-                self.invalidate(id);
+                let mut victim = self.take_keyed();
+                victim.push((self.rob.key(id), id));
+                self.reissue(victim, ReissueKind::Register);
             } else {
                 // A Waiting entry's sources changed under it: any parking on
                 // the old registers is stale (it self-neutralizes at drain);
@@ -858,5 +860,31 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             self.rob.get_mut(id).pred_next = n;
         }
         Some(self.rob.get(id).pred_next)
+    }
+
+    /// Selective reissue (Section 3.2.4): send `victims` (window key, id)
+    /// back to issue in window order. Each one still in the window counts a
+    /// reissue of `kind` for Table 4, is recorded as a `Reissue` event and
+    /// is invalidated. Invalidating one victim can cascade (a cancelled
+    /// restart squashes instructions), killing later victims before their
+    /// turn. The buffer goes back to the pool.
+    pub(crate) fn reissue(&mut self, mut victims: Vec<(u64, InstId)>, kind: ReissueKind) {
+        victims.sort_unstable();
+        victims.dedup();
+        for &(_, v) in &victims {
+            if !self.rob.alive(v) {
+                continue;
+            }
+            let e = self.rob.get_mut(v);
+            match kind {
+                ReissueKind::Memory => e.mem_reissues += 1,
+                ReissueKind::Register => e.reg_reissues += 1,
+                ReissueKind::Value => {}
+            }
+            let pc = e.pc.0;
+            self.probe.record(self.now, Event::Reissue { pc, kind });
+            self.invalidate(v);
+        }
+        self.put_keyed(victims);
     }
 }

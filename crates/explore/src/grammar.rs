@@ -644,6 +644,18 @@ mod tests {
     }
 
     #[test]
+    fn distinct_cells_get_distinct_labels() {
+        for spec in [
+            "machine=base,ci,window=32,64,fetch=4,8,workload=go,jpeg",
+            "full-grid",
+        ] {
+            let cells = Sweep::parse(spec).unwrap().expand(4000, 0x5EED);
+            let labels: HashSet<String> = cells.iter().map(CellSpec::label).collect();
+            assert_eq!(labels.len(), cells.len(), "{spec}");
+        }
+    }
+
+    #[test]
     fn full_grid_reaches_a_thousand_cells() {
         let s = Sweep::parse("full-grid").unwrap();
         let cells = s.expand(10_000, 0x5EED);

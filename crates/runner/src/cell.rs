@@ -25,6 +25,81 @@ use std::fmt::{self, Write as _};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+/// The paper machine a detailed configuration belongs to (`base`, `ci` or
+/// `ci_i`) and that machine's preset at the configuration's window.
+fn machine_preset(config: &PipelineConfig) -> (&'static str, PipelineConfig) {
+    let window = config.window;
+    match (config.squash, config.redispatch) {
+        (SquashMode::Full, _) => ("base", PipelineConfig::base(window)),
+        (SquashMode::ControlIndependence, RedispatchMode::Pipelined) => {
+            ("ci", PipelineConfig::ci(window))
+        }
+        (SquashMode::ControlIndependence, RedispatchMode::Instant) => {
+            ("ci_i", PipelineConfig::ci_instant(window))
+        }
+    }
+}
+
+/// Append `/field=value` to `out` for each field of `config` that differs
+/// from its machine's preset.
+fn write_config_delta(out: &mut String, config: &PipelineConfig) {
+    let preset = machine_preset(config).1;
+    // Every field is bound, so a new one cannot be left out of the label;
+    // the machine's preset always matches `window` and `squash`.
+    let PipelineConfig {
+        width,
+        window: _,
+        segment,
+        squash: _,
+        recon,
+        redispatch,
+        preemption,
+        completion,
+        hide_false_mispredictions,
+        repredict,
+        oracle_ghr,
+        cache,
+        latencies,
+        predictor_bits,
+        conf_threshold,
+        check,
+    } = *config;
+    macro_rules! delta {
+        ($($field:ident),*) => {$(
+            if $field != preset.$field {
+                let _ = write!(out, "/{}={:?}", stringify!($field), $field);
+            }
+        )*};
+    }
+    delta!(width, segment);
+    if recon != preset.recon {
+        let on = [
+            (recon.postdominator, "postdom"),
+            (recon.returns, "return"),
+            (recon.loops, "loop"),
+            (recon.ltb, "ltb"),
+        ]
+        .into_iter()
+        .filter_map(|(enabled, name)| enabled.then_some(name))
+        .collect::<Vec<_>>()
+        .join("+");
+        let _ = write!(out, "/recon={}", if on.is_empty() { "none" } else { &on });
+    }
+    delta!(
+        redispatch,
+        preemption,
+        completion,
+        hide_false_mispredictions,
+        repredict,
+        oracle_ghr,
+        cache,
+        latencies,
+        predictor_bits,
+        conf_threshold,
+        check
+    );
+}
+
 /// 64-bit FNV-1a hash of `bytes` (stable across platforms and runs).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -195,13 +270,21 @@ impl CellSpec {
         CellKey(fnv1a(self.canonical().as_bytes()))
     }
 
-    /// Short human label for metrics reports.
+    /// Short human label for metrics reports. A detailed cell names its
+    /// [`CellSpec::family`] and each configuration field that differs from
+    /// that family's preset at the cell's window
+    /// (`detailed/jpeg/ci_w32/width=4`), so distinct cells of one budget and
+    /// seed get distinct labels.
     #[must_use]
     pub fn label(&self) -> String {
         match self {
             CellSpec::Detailed {
                 workload, config, ..
-            } => format!("detailed/{}/w{}", workload.name(), config.window),
+            } => {
+                let mut label = format!("detailed/{}/{}", workload.name(), self.family());
+                write_config_delta(&mut label, config);
+                label
+            }
             CellSpec::Ideal {
                 workload,
                 model,
@@ -230,12 +313,7 @@ impl CellSpec {
     pub fn family(&self) -> String {
         match self {
             CellSpec::Detailed { config, .. } => {
-                let machine = match (config.squash, config.redispatch) {
-                    (SquashMode::Full, _) => "base",
-                    (SquashMode::ControlIndependence, RedispatchMode::Pipelined) => "ci",
-                    (SquashMode::ControlIndependence, RedispatchMode::Instant) => "ci_i",
-                };
-                format!("{machine}_w{}", config.window)
+                format!("{}_w{}", machine_preset(config).0, config.window)
             }
             CellSpec::Ideal { model, window, .. } => format!("{model:?}_w{window}").to_lowercase(),
             CellSpec::Study { .. } => "study".to_owned(),
@@ -535,5 +613,27 @@ mod tests {
         assert_ne!(d.key(), i.key());
         assert_ne!(d.key(), st.key());
         assert_ne!(i.key(), st.key());
+    }
+
+    #[test]
+    fn detailed_labels_name_the_family_and_its_changed_fields() {
+        assert_eq!(base_spec().label(), "detailed/go/ci_w256");
+        let config = PipelineConfig {
+            width: 4,
+            recon: ci_core::ReconStrategy::hardware(true, true, true),
+            redispatch: RedispatchMode::Instant,
+            preemption: ci_core::Preemption::Optimal,
+            ..PipelineConfig::base(32)
+        };
+        let spec = CellSpec::Detailed {
+            workload: Workload::JpegLike,
+            config,
+            instructions: 1000,
+            seed: 7,
+        };
+        assert_eq!(
+            spec.label(),
+            "detailed/jpeg/base_w32/width=4/recon=return+loop+ltb/redispatch=Instant/preemption=Optimal"
+        );
     }
 }

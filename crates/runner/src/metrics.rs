@@ -21,7 +21,7 @@ use ci_obs::JsonValue;
 pub struct CellReport {
     /// Content-hash key of the spec.
     pub key: String,
-    /// Short human label (`detailed/go/w256`, ...).
+    /// Short human label (`detailed/go/ci_w256/width=4`, ...).
     pub label: String,
     /// Workload name.
     pub workload: &'static str,
